@@ -33,9 +33,8 @@ or gate a change against a committed baseline (CI does this)::
     PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py --quick \
         --baseline BENCH_perf.json --max-regression 0.25
 
-``--workers N`` / ``--data-plane columnar`` re-point the scale
-benchmarks at a different shard count or event representation, and
-``--profile [N]`` prints a per-section cProfile top-N (by total time)
+``--workers N`` re-points the spatial scale benchmark at a different
+shard count, and ``--profile [N]`` prints a per-section cProfile top-N (by total time)
 instead of gating — a profiling aid, not a measurement mode.
 
 The pytest entry points (``-m perf``) assert the acceptance criterion:
@@ -310,9 +309,7 @@ def bench_simulation(
     }
 
 
-def _scale_spec(
-    num_requests: int, data_plane: str = "pooled"
-) -> ExperimentSpec:
+def _scale_spec(num_requests: int) -> ExperimentSpec:
     """The ≥1M-request scale workload shared by the serial and spatial
     scale benchmarks: perf-e2e scaled to hold per-GPU load constant,
     scheduler period stretched so the control plane fires a handful of
@@ -327,19 +324,16 @@ def _scale_spec(
         duration_s=duration_s,
         schemes=("arlo",),
         scheduler_period_s=max(duration_s / 8.0, 5.0),
-        data_plane=data_plane,
     )
 
 
-def bench_simulation_scale(
-    num_requests: int = 1_000_000, data_plane: str = "pooled"
-) -> dict:
+def bench_simulation_scale(num_requests: int = 1_000_000) -> dict:
     """Sustained throughput at scale: a single ≥1M-request serving run.
 
     One pass (the loop is seconds long, so best-of-N buys little), same
     ``run_simulation``-only basis as :func:`bench_simulation`.
     """
-    spec = _scale_spec(num_requests, data_plane)
+    spec = _scale_spec(num_requests)
     t0 = time.perf_counter()
     trace = spec.make_trace()
     scheme = spec.make_scheme("arlo", trace)
@@ -349,7 +343,6 @@ def bench_simulation_scale(
     elapsed = time.perf_counter() - t1
     return {
         "basis": "run_simulation only, single pass",
-        "data_plane": data_plane,
         "requests": len(trace),
         "completed": result.stats.count,
         "sim_duration_s": spec.duration_s,
@@ -364,7 +357,6 @@ def bench_simulation_scale(
 def bench_simulation_scale_spatial(
     num_requests: int = 1_000_000,
     workers: int = 4,
-    data_plane: str = "pooled",
     passes: int = 2,
 ) -> dict:
     """Scale workload as ``workers`` request-partition space shards.
@@ -385,7 +377,7 @@ def bench_simulation_scale_spatial(
     slowest-shard wall is the low-noise estimator — same reasoning as
     ``_time_best_of``.
     """
-    spec = _scale_spec(num_requests, data_plane)
+    spec = _scale_spec(num_requests)
     cpu_count = os.cpu_count() or 1
     pool_workers = workers if cpu_count >= workers else 1
     if pool_workers == 1:
@@ -411,7 +403,6 @@ def bench_simulation_scale_spatial(
                  f"best of {passes} passes (per-shard walls measured "
                  "inside the shard runs; assumes one core per shard)",
         "passes": passes,
-        "data_plane": data_plane,
         "space_partition": spec.space_partition,
         "shards": workers,
         "cpu_count": cpu_count,
@@ -683,7 +674,6 @@ def _profiled(label: str, fn, top: int):
 def run_benchmarks(
     quick: bool = False,
     workers: int = 4,
-    data_plane: str = "pooled",
     profile_top: int = 0,
 ) -> dict:
     """All hot-path benchmarks as one JSON-ready payload."""
@@ -727,9 +717,7 @@ def run_benchmarks(
         ),
         "simulation_scale": _profiled(
             "simulation_scale",
-            lambda: bench_simulation_scale(
-                num_requests=scale_requests, data_plane=data_plane,
-            ),
+            lambda: bench_simulation_scale(num_requests=scale_requests),
             profile_top,
         ),
         "simulation_scale_spatial": _profiled(
@@ -737,7 +725,6 @@ def run_benchmarks(
             lambda: bench_simulation_scale_spatial(
                 num_requests=scale_requests,
                 workers=workers,
-                data_plane=data_plane,
             ),
             profile_top,
         ),
@@ -926,9 +913,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=4,
                         help="space-shard count for the spatial scale "
                              "benchmark (default 4)")
-    parser.add_argument("--data-plane", choices=("pooled", "columnar"),
-                        default="pooled",
-                        help="event representation for the scale benchmarks")
     parser.add_argument("--profile", type=int, nargs="?", const=15, default=0,
                         metavar="N",
                         help="print a per-section cProfile top-N (default 15) "
@@ -941,7 +925,6 @@ def main(argv: list[str] | None = None) -> int:
     payload = run_benchmarks(
         quick=args.quick,
         workers=args.workers,
-        data_plane=args.data_plane,
         profile_top=args.profile,
     )
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

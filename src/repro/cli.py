@@ -189,12 +189,10 @@ def _cmd_trace_spatial(args: argparse.Namespace) -> int:
         warmup_s=args.warmup,
         trace_override=trace,
         space_partition="request",
-        data_plane=args.data_plane,
     )
     merged = run_spatial(spec, args.scheme, args.workers)
     stats = merged.stats
-    print(f"{args.scheme}: {args.workers} request-partition space shards "
-          f"({args.data_plane} data plane)")
+    print(f"{args.scheme}: {args.workers} request-partition space shards")
     print(f"  completed {stats.count}  mean {stats.mean_ms:.2f} ms  "
           f"p99 {stats.p99_ms:.2f} ms  "
           f"slo_violation {stats.slo_violation_rate:.4f}")
@@ -237,7 +235,6 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         warmup_ms=seconds(args.warmup),
         failures=failures,
         observability=ObservabilityConfig(sample_rate=args.sample_rate),
-        data_plane=args.data_plane,
         generative=_generative_config_from_args(args),
     ))
     if args.generative:
@@ -431,7 +428,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def _add_anytime_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-ladder", action="store_true",
                    help="run the control plane through the anytime solver "
-                   "ladder (greedy -> local -> dp -> milp) under a "
+                   "ladder (greedy -> local -> dp) under a "
                    "wall-clock deadline")
     p.add_argument("--solve-deadline-ms", type=float, default=50.0,
                    help="per-period wall-clock solve deadline for "
@@ -482,10 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "request-partition space shards and print the "
                          "merged summary (incompatible with --chaos and "
                          "the span/timeline/prometheus exports)")
-    p_trace.add_argument("--data-plane", choices=("pooled", "columnar"),
-                         default="pooled",
-                         help="completion-event representation: pooled "
-                         "records (default) or columnar slots")
     _add_anytime_args(p_trace)
     p_trace.set_defaults(fn=cmd_trace)
 

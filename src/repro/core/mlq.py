@@ -173,29 +173,9 @@ class MultiLevelQueue:
         """Σ outstanding over all queued instances — O(levels)."""
         return sum(lvl.outstanding_total for lvl in self.levels)
 
-    def level_outstanding(self, level: int) -> int:
-        return self.levels[level].outstanding_total
-
     def level_congestion(self, level: int) -> float:
         """Aggregate congestion of one level — O(1)."""
         return self.levels[level].congestion()
-
-    def level_stats(self) -> list[dict[str, float]]:
-        """Per-level observability snapshot — O(levels).
-
-        One row per level: instance count, aggregate outstanding and
-        capacity, and the congestion ratio the Algorithm-1 walk probes.
-        """
-        return [
-            {
-                "level": float(level),
-                "instances": float(len(heap)),
-                "outstanding": float(heap.outstanding_total),
-                "capacity": float(heap.capacity_total),
-                "congestion": heap.congestion(),
-            }
-            for level, heap in enumerate(self.levels)
-        ]
 
     def least_loaded(self, levels: range | list[int]) -> RuntimeInstance | None:
         """Globally least-loaded head across the given levels (IG policy)."""

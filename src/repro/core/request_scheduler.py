@@ -13,18 +13,11 @@ no candidate passes, the request falls back to the head of its ideal
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable
 
-import numpy as np
-
 from repro.cluster.instance import _ACTIVE, RuntimeInstance
-
-#: Sort key for the batch water-fill (module-level: no per-call lambda).
-_BY_OUTSTANDING = operator.attrgetter("outstanding")
 from repro.core.mlq import MultiLevelQueue
 from repro.errors import CapacityError, ConfigurationError
 from repro.runtimes.registry import RuntimeRegistry
@@ -79,9 +72,6 @@ class ArloRequestScheduler:
     demotions: int = 0
     fallbacks: int = 0
     gated: int = 0
-    #: Of ``dispatched``, how many were admitted by the vectorized
-    #: batch path (:meth:`dispatch_batch`) rather than a scalar walk.
-    batched: int = 0
 
     def __post_init__(self) -> None:
         if len(self.mlq) != len(self.registry):
@@ -349,178 +339,6 @@ class ArloRequestScheduler:
         )
         return head, start, finish
 
-    def dispatch_batch(
-        self, now_ms: float, lengths: list[int]
-    ) -> list[tuple[RuntimeInstance, float, float]] | None:
-        """Batch-mode Algorithm 1 over a same-timestamp arrival run.
-
-        Admits the longest *prefix* of the run for which a slack
-        certificate proves the scalar walk would accept every request
-        at its ideal level:
-
-        - Acceptance at the ideal level is ``outstanding/capacity < λ``
-          on the level's head (min-outstanding active member). With a
-          uniform member capacity ``cap``, that is ``outstanding < T``
-          where ``T`` is the smallest integer with ``T/cap ≥ λ``
-          (computed with the same float division the scalar probe uses,
-          so the boundary is bit-identical).
-        - The level's slack is ``Σ max(0, T − outstanding_i)`` over
-          active members. While fewer than ``slack`` requests have hit
-          the level, some member — hence the head, the minimum — is
-          still below ``T``, so every next probe accepts without
-          decaying the threshold. The prefix therefore ends at the
-          first request whose ideal level is out of slack (the scalar
-          walk would demote it), has no active members or
-          heterogeneous capacities (the head/threshold argument needs
-          uniformity — the min-outstanding head can sit at a *smaller*
-          capacity and reject while slack remains elsewhere), or is
-          breaker-gated (``gate`` set disables batching wholesale).
-
-        Returns one ``(instance, start, finish)`` triple per admitted
-        request, aligned with the head of ``lengths`` — possibly fewer
-        than ``len(lengths)``; the caller replays the rest through
-        scalar :meth:`dispatch_fast`, which owns the precise
-        demotion/fallback/error behaviour from the now-updated state.
-        ``None`` means nothing was admitted and state is untouched.
-        Only the ``dispatched`` counter advances — zero demotions,
-        fallbacks, and gate rejections by construction, so counters
-        match the scalar path decision for decision.
-
-        Within a level the admitted requests are spread over members
-        by water-filling, which yields the same per-level multiset of
-        member queue depths as the scalar walk's repeated
-        min-outstanding head pops — so every *future* probe sees the
-        same head depth — while pairing requests with different (but
-        interchangeable, same-profile) instances than the scalar run
-        would. The equivalence contract is per-request *decisions*
-        (level assignments and counters), not instance ids.
-        """
-        if self.gate is not None:
-            return None
-        ideals = self.registry.ideal_index_batch(lengths)
-        if ideals is None:
-            return None
-        levels = self.mlq.levels
-        demand = np.bincount(ideals, minlength=len(levels)).tolist()
-        ideals_list = ideals.tolist()
-        lam = self._lam
-        n = len(lengths)
-        # Per demanded level: (sorted active members, T, slack), or
-        # None when the level cannot take part (no members, mixed
-        # capacities) and must end the prefix at its first request.
-        plan: list = [None] * len(levels)
-        usable = [False] * len(levels)
-        for lvl, d in enumerate(demand):
-            if not d:
-                continue
-            members = [
-                inst for inst in levels[lvl]._members.values()
-                if inst.status is _ACTIVE
-            ]
-            if not members:
-                continue
-            cap = members[0]._capacity
-            # T: smallest integer with T/cap >= lam, found with the
-            # scalar probe's own float comparisons (ceil then adjust)
-            # so no request lands on the wrong side of the boundary.
-            T = math.ceil(lam * cap)
-            while T / cap < lam:
-                T += 1
-            while T > 0 and (T - 1) / cap >= lam:
-                T -= 1
-            uniform = True
-            slack = 0
-            for inst in members:
-                if inst._capacity != cap:
-                    uniform = False
-                    break
-                if inst.outstanding < T:
-                    slack += T - inst.outstanding
-            if not uniform or not slack:
-                continue
-            members.sort(key=_BY_OUTSTANDING)
-            plan[lvl] = (members, T, slack)
-            usable[lvl] = True
-        # Longest admissible prefix: per-level running count < slack.
-        taken = [0] * len(levels)
-        prefix = 0
-        for lvl in ideals_list:
-            if not usable[lvl]:
-                break
-            if taken[lvl] >= plan[lvl][2]:
-                break
-            taken[lvl] += 1
-            prefix += 1
-        if prefix < 4:  # not worth the fixed costs
-            return None
-        by_level: dict[int, list[int]] = {}
-        for idx in range(prefix):
-            lvl = ideals_list[idx]
-            got = by_level.get(lvl)
-            if got is None:
-                by_level[lvl] = [idx]
-            else:
-                got.append(idx)
-        results: list = [None] * prefix
-        for lvl, idxs in by_level.items():
-            members, _T, _slack = plan[lvl]
-            d = len(idxs)
-            m = len(members)
-            outs = [inst.outstanding for inst in members]
-            # Water-fill d admissions over the (ascending) member
-            # depths: raise the lowest group, then spread the
-            # remainder one each — the unique multiset repeated
-            # min-pops produce.
-            acc = 0
-            filled = m
-            for j in range(1, m):
-                step = (outs[j] - outs[j - 1]) * j
-                if acc + step >= d:
-                    filled = j
-                    break
-                acc += step
-            rem = d - acc
-            quot, extra = divmod(rem, filled)
-            height = outs[filled - 1]
-            level_heap = levels[lvl]
-            last = level_heap._last_outstanding
-            pos = 0
-            for i in range(filled):
-                inst = members[i]
-                c = height - outs[i] + quot + (1 if i < extra else 0)
-                if not c:
-                    continue
-                # Chain the member's admissions with the exact scalar
-                # enqueue arithmetic (same table lookup, same float
-                # adds): start = max(now, busy), then finish-to-finish.
-                table = inst._service_table
-                slow = inst.slow_factor
-                busy = inst.busy_until_ms
-                fin = now_ms if now_ms > busy else busy
-                for k in range(pos, pos + c):
-                    ridx = idxs[k]
-                    start = fin
-                    fin = start + table[lengths[ridx]] * slow
-                    results[ridx] = (inst, start, fin)
-                pos += c
-                inst.busy_until_ms = fin
-                out = outs[i] + c
-                inst.outstanding = out
-                inst._epoch += 1
-                tracker = inst.tracker
-                if tracker is not None:
-                    tracker.on_enqueue_many(inst, c)
-                key = inst.instance_id
-                level_heap.outstanding_total += out - last[key]
-                last[key] = out
-                heappush(
-                    level_heap._heap,
-                    (out, next(level_heap._counter), inst._epoch, inst),
-                )
-        self.dispatched += prefix
-        self.batched += prefix
-        return results
-
     def stats(self) -> dict[str, float]:
         """Aggregate dispatch statistics (queue state read in O(levels))."""
         d = max(self.dispatched, 1)
@@ -529,7 +347,6 @@ class ArloRequestScheduler:
             "demotion_rate": self.demotions / d,
             "fallback_rate": self.fallbacks / d,
             "gated": float(self.gated),
-            "batched": float(self.batched),
             "queue_outstanding": float(self.mlq.total_outstanding()),
             "queue_instances": float(self.mlq.total_instances()),
         }

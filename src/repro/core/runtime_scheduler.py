@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.cluster.instance import InstanceStatus
 from repro.cluster.replacement import ReplacementPlan, plan_replacement
 from repro.cluster.state import ClusterState
 from repro.core.allocation import AllocationProblem, AllocationResult, solve_allocation
@@ -551,6 +552,11 @@ class RuntimeScheduler:
         """
         deployable = int(state.allocation().sum())
         if deployable < 1:
+            # A fleet-wide blackout: the suspended instances resume with
+            # their runtimes, so keep the current deployment.
+            if any(inst.status is InstanceStatus.SUSPENDED
+                   for inst in state.instances.values()):
+                return self._hold(now_ms, state, solver="hold")
             raise ConfigurationError("cluster has no active instances")
         if self.estimator.observed == 0:
             # Zero demand makes every allocation optimal (cost 0); keep
@@ -582,7 +588,8 @@ class RuntimeScheduler:
     def _hold(
         self, now_ms: float, state: ClusterState, solver: str
     ) -> tuple[AllocationResult, ReplacementPlan]:
-        """Keep the current deployment (zero demand or solver failure)."""
+        """Keep the current deployment (fleet-wide blackout, zero demand
+        or solver failure)."""
         current = state.allocation()
         result = AllocationResult(
             allocation=current,

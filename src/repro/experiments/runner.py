@@ -85,10 +85,6 @@ class ExperimentSpec:
     #: sketch) for static multi-level schemes while the serial run has
     #: zero demotions/fallbacks/deferrals (see docs/PERFORMANCE.md).
     space_partition: str = "request"
-    #: Completion payload representation for the simulator
-    #: (``SimulationConfig.data_plane``): ``"pooled"`` or
-    #: ``"columnar"``.
-    data_plane: str = "pooled"
     #: Solve allocations through the deadline-bounded anytime ladder
     #: (:mod:`repro.perf.anytime`) instead of a single solver.
     solver_ladder: bool = False
@@ -399,7 +395,6 @@ class ExperimentSpec:
             autoscaler=self.autoscaler,
             warmup_ms=warmup_ms,
             failures=failures,
-            data_plane=self.data_plane,
             **kwargs,
         )
 

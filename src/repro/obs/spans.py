@@ -249,16 +249,6 @@ class RequestTracer:
             "ttft_ms": ttft_ms, "batch_size": batch_size,
         })
 
-    def on_lost(self, request_id: int, now_ms: float, reason: str) -> None:
-        span = self.active.pop(request_id, None)
-        if span is None:
-            return
-        span.final_phase = "lost"
-        span.latency_ms = now_ms - span.arrival_ms
-        span.events.append({"phase": "lost", "t_ms": now_ms,
-                            "reason": reason})
-        self._finish(span)
-
     def on_complete(self, request_id: int, now_ms: float,
                     service_ms: float,
                     decode_steps: int | None = None) -> None:
@@ -284,9 +274,6 @@ class RequestTracer:
             self.dropped += 1
             return
         self.finished.append(span)
-
-    def completed_spans(self) -> list[RequestSpan]:
-        return [s for s in self.finished if s.final_phase == "complete"]
 
     def stats(self) -> dict[str, float]:
         return {

@@ -92,6 +92,3 @@ class ControlTimeline:
             key = f"{e.category}/{e.kind}"
             out[key] = out.get(key, 0) + 1
         return out
-
-    def to_dicts(self) -> list[dict]:
-        return [e.to_dict() for e in self.events]

@@ -11,7 +11,7 @@ solve times); this package keeps it near-constant in practice:
 - :mod:`repro.perf.counters` — O(1) outstanding/capacity congestion
   aggregates maintained through instance lifecycle transitions.
 - :mod:`repro.perf.anytime` — deadline-bounded solver policy ladder
-  (greedy → local → DP → MILP) that always holds a feasible allocation
+  (greedy → local → DP) that always holds a feasible allocation
   and upgrades it while wall-clock budget remains.
 - :mod:`repro.perf.forecast` — Holt–Winters demand forecaster feeding
   forecast-driven pre-solves into the allocation cache.

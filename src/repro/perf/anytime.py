@@ -8,7 +8,7 @@ ladder** — a registry of optimisation levels ordered cheapest-first
 exemplar)::
 
     greedy (O(I) first-fit)  →  local (steepest descent)
-        →  dp (exact Pareto-label DP)  →  milp (branch & bound)
+        →  dp (exact Pareto-label DP)
 
 Each rung is budgeted with the wall-clock time remaining under the
 caller's deadline and warm-started from the best incumbent so far, so
@@ -38,7 +38,6 @@ from repro.core.allocation import (
     solve_dp,
     solve_greedy,
     solve_local_search,
-    solve_milp_encoding,
 )
 from repro.errors import ConfigurationError, DeadlineExceeded, SolverError
 
@@ -53,11 +52,6 @@ _MIN_BUDGET_FRAC = 0.1
 #: little between rungs; handing a rung the *full* remaining budget
 #: would let those overruns breach the caller's deadline.
 _SAFETY_FRAC = 0.1
-
-#: The MILP validation rung builds O(I·G) binaries — model construction
-#: alone blows a realtime deadline beyond small pools.
-_MILP_MAX_GPUS = 30
-
 
 @dataclass(frozen=True)
 class LadderRung:
@@ -94,17 +88,13 @@ RUNGS: dict[str, LadderRung] = {
         exact=True,
         suitable=lambda problem: problem.num_gpus <= _DP_SCALE_LIMIT,
     ),
-    "milp": LadderRung(
-        name="milp",
-        solve=solve_milp_encoding,
-        suitable=lambda problem: problem.num_gpus <= _MILP_MAX_GPUS,
-    ),
 }
 
-#: Default climb order. ``milp`` last: it is a validation encoding whose
-#: epigraph objective is a lower-bound approximation — useful as a
-#: cross-check on small pools, never better than a finished DP.
-DEFAULT_LADDER: tuple[str, ...] = ("greedy", "local", "dp", "milp")
+#: Default climb order. The MILP encoding is not a rung: its epigraph
+#: objective is a lower-bound approximation that never beats a finished
+#: DP, and its O(I·G) binaries only fit a realtime deadline on small
+#: pools, where the exact DP already ends the climb.
+DEFAULT_LADDER: tuple[str, ...] = ("greedy", "local", "dp")
 
 
 def resolve_ladder(names: tuple[str, ...] | list[str] | None) -> tuple[LadderRung, ...]:
@@ -204,7 +194,7 @@ def solve_anytime(
             # Infeasibility is a property of the problem, not the rung:
             # no later rung can fix it. Errors before any incumbent
             # exists must surface; with an incumbent in hand they are
-            # rung-local (e.g. milp encoding trouble) and skippable.
+            # rung-local and skippable.
             if incumbent is None:
                 raise
             last_error = None

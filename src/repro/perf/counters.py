@@ -91,15 +91,6 @@ class CongestionTracker:
         if instance.instance_id in self._counted:
             self.outstanding[instance.runtime_index] += 1
 
-    def on_enqueue_many(self, instance, count: int) -> None:
-        """``count`` requests admitted in one batch dispatch (called
-        after ``outstanding += count``). Exactly ``count`` scalar
-        :meth:`on_enqueue` calls, folded into two adds — the batch
-        dispatcher's aggregate hook."""
-        self.all_outstanding += count
-        if instance.instance_id in self._counted:
-            self.outstanding[instance.runtime_index] += count
-
     def on_complete(self, instance) -> None:
         """One request finished (called after ``outstanding -= 1``)."""
         self.all_outstanding -= 1
@@ -133,9 +124,6 @@ class CongestionTracker:
         """Active instance counts per level (the ILP's ``N`` vector)."""
         return np.asarray(self.active, dtype=np.int64)
 
-    def total_outstanding_active(self) -> int:
-        return sum(self.outstanding)
-
     def total_capacity(self) -> int:
         return sum(self.capacity)
 
@@ -153,10 +141,6 @@ class CongestionTracker:
         if cap == 0:
             return float("inf") if self.outstanding[level] else 0.0
         return int(self.outstanding[level]) / cap
-
-    def level_decode_occupancy(self, level: int) -> int:
-        """Requests currently decoding at one level (all live instances)."""
-        return self.decoding[level]
 
     def total_decoding(self) -> int:
         return sum(self.decoding)

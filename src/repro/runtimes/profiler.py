@@ -68,14 +68,6 @@ class RuntimeProfile:
         return [math.nan] + [svc(ln) + overhead
                              for ln in range(1, self.max_length + 1)]
 
-    @cached_property
-    def service_table_np(self) -> np.ndarray:
-        """:attr:`service_table_ms` as a float64 array, for the batch
-        dispatcher's fancy-indexed lookup (``table[lengths]``). Values
-        are bit-identical to the list — both are materialised from the
-        same floats."""
-        return np.asarray(self.service_table_ms, dtype=np.float64)
-
     def latency_for_batch(self, batch: float) -> float:
         """``L_i(B)``: mean latency when an instance serves ``B`` requests
         within one SLO window (batch size 1, FIFO)."""

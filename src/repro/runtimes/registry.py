@@ -68,21 +68,6 @@ class RuntimeRegistry:
                 f"({self.max_length})"
             ) from None
 
-    def ideal_index_batch(self, lengths) -> np.ndarray | None:
-        """Vectorised :meth:`ideal_index` over a batch of lengths.
-
-        Returns the per-request ideal runtime indexes, or ``None`` when
-        any length is unservable — batch callers fall back to the
-        scalar path, which raises the precise :class:`CapacityError`
-        per request.
-        """
-        arr = np.asarray(lengths)
-        if arr.size == 0:
-            return None
-        if int(arr.min()) <= 0 or int(arr.max()) > self.max_length:
-            return None
-        return np.searchsorted(self._max_lengths, arr, side="left")
-
     def candidate_indexes(self, length: int) -> range:
         """All candidate runtime indexes for a request, ascending
         ``max_length`` (Algorithm 1 line 2)."""

@@ -4,16 +4,14 @@ Internally the heap stores plain ``(time_ms, kind, seq, payload)``
 tuples, not :class:`Event` objects: tuple comparison runs entirely in
 C, and no object is allocated per push beyond the tuple itself.
 :meth:`EventQueue.pop` materialises the :class:`Event` façade for
-callers that want named fields; the simulator's hot loop uses
-:meth:`pop_batch` instead, which drains a maximal run of
-same-``(time, kind)`` events in one call and hands back only their
-payloads.
+callers that want named fields; :meth:`pop_batch` drains a maximal run
+of same-``(time, kind)`` events in one call and hands back only their
+payloads. The simulators' hot loops read ``_heap`` directly and inline
+that same drain.
 
-Payloads are opaque to the queue: the pooled data plane schedules
-completion *record objects*, while the columnar data plane
-(``data_plane="columnar"``) schedules bare integer *slots* into a
-:class:`~repro.sim.events.ColumnarCompletionStore` — same heap, same
-ordering, different payload representation.
+Payloads are opaque to the queue. Completions carry pooled
+:class:`~repro.sim.events.CompletionRecord` objects; control and fault
+events carry their own small payload objects.
 """
 
 from __future__ import annotations

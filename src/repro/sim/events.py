@@ -155,80 +155,6 @@ def completion_pool_stats() -> dict[str, int]:
     }
 
 
-class ColumnarCompletionStore:
-    """Struct-of-arrays alternative to the pooled completion records
-    (the ``data_plane="columnar"`` knob).
-
-    Completion state lives in seven parallel columns indexed by an
-    integer *slot*; the heap payload is just that slot. Compared to the
-    pooled path this roughly halves per-completion memory (seven column
-    cells vs a 7-``__slots__`` Python object plus its pointer) and
-    keeps throughput at parity — the per-event work is the same number
-    of interpreter operations, traded from attribute loads to list
-    indexing. Slots are recycled through a free list exactly like the
-    record pool, so steady-state simulation allocates nothing.
-
-    Single-threaded by construction: each simulator run builds its own
-    store.
-    """
-
-    __slots__ = ("request_id", "instance", "arrival_ms", "length",
-                 "runtime_index", "attempt_token", "service_ms", "_free")
-
-    def __init__(self) -> None:
-        self.request_id: list[int] = []
-        self.instance: list[Any] = []
-        self.arrival_ms: list[float] = []
-        self.length: list[int] = []
-        self.runtime_index: list[int] = []
-        self.attempt_token: list[int] = []
-        self.service_ms: list[float] = []
-        self._free: list[int] = []
-
-    def acquire(
-        self,
-        request_id: int,
-        instance: Any,
-        arrival_ms: float,
-        length: int,
-        runtime_index: int,
-        attempt_token: int,
-        service_ms: float,
-    ) -> int:
-        """Fill a slot (recycled or fresh) and return its index."""
-        free = self._free
-        if free:
-            slot = free.pop()
-            self.request_id[slot] = request_id
-            self.instance[slot] = instance
-            self.arrival_ms[slot] = arrival_ms
-            self.length[slot] = length
-            self.runtime_index[slot] = runtime_index
-            self.attempt_token[slot] = attempt_token
-            self.service_ms[slot] = service_ms
-            return slot
-        slot = len(self.request_id)
-        self.request_id.append(request_id)
-        self.instance.append(instance)
-        self.arrival_ms.append(arrival_ms)
-        self.length.append(length)
-        self.runtime_index.append(runtime_index)
-        self.attempt_token.append(attempt_token)
-        self.service_ms.append(service_ms)
-        return slot
-
-    def release(self, slot: int) -> None:
-        """Recycle a slot (drops the instance ref)."""
-        self.instance[slot] = None
-        self._free.append(slot)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "slots": len(self.request_id),
-            "free": len(self._free),
-        }
-
-
 class DecodeTask:
     """Mutable, pooled per-request state of the generative data plane.
 
@@ -287,14 +213,6 @@ def decode_task_pool_stats() -> dict[str, int]:
         "free": len(DECODE_TASK_POOL),
         "total_allocated": DecodeTask.total_allocated,
     }
-
-
-@dataclass(frozen=True, slots=True)
-class ReplacementPayload:
-    """A drained donor instance becoming a receiver runtime."""
-
-    instance_id: int
-    to_runtime: int
 
 
 @dataclass(frozen=True, slots=True)

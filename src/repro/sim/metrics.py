@@ -305,12 +305,6 @@ class MetricsCollector:
         self._sync_sketch()
         return self.sketch.stats()
 
-    def snapshot_sketch(self) -> StreamingLatencySummary:
-        """The up-to-date sketch (shared, not a copy) — the shard
-        driver's mergeable latency summary."""
-        self._sync_sketch()
-        return self.sketch
-
     def per_runtime_mean(self) -> dict[int, float]:
         """Mean latency by serving runtime (deep-dive reports)."""
         lat = self.latencies()

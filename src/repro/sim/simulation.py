@@ -59,7 +59,6 @@ from repro.sim.engine import EventQueue
 from repro.sim.events import (
     COMPLETION_POOL,
     BlackoutEndPayload,
-    ColumnarCompletionStore,
     CompletionRecord,
     EventKind,
     ProbePayload,
@@ -111,11 +110,6 @@ class SimulationConfig:
     #: Observability: per-request span sampling and the control-plane
     #: timeline (None = fully disabled, the zero-overhead default).
     observability: ObservabilityConfig | None = None
-    #: Completion payload representation: ``"pooled"`` (free-listed
-    #: ``__slots__`` records, the default) or ``"columnar"``
-    #: (struct-of-arrays slots — roughly half the per-event memory at
-    #: parity throughput). Results are bit-identical either way.
-    data_plane: str = "pooled"
     #: Generative (prefill + decode) data plane. None (the default)
     #: keeps the discriminative single-interval model bit-exactly;
     #: a :class:`~repro.sim.generative.GenerativeConfig` routes the run
@@ -123,14 +117,6 @@ class SimulationConfig:
     #: trace must then be a GenerativeTrace). String annotation + lazy
     #: import keep the discriminative import graph unchanged.
     generative: "object | None" = None
-    #: Vectorised Algorithm 1 over same-timestamp arrival runs
-    #: (Arlo-family schemes). Decision-equivalent to the scalar walk —
-    #: it only engages when a slack certificate proves every request
-    #: admits at its ideal level — and automatically stands down under
-    #: tracing, decision logging, or resilience gating, where the
-    #: scalar/traced paths keep their bit-exact behaviour. Set False to
-    #: force the scalar walk for every request (A/B tests).
-    batch_dispatch: bool = True
 
     def __post_init__(self) -> None:
         if self.autoscale_check_ms <= 0:
@@ -142,11 +128,6 @@ class SimulationConfig:
         if self.enable_autoscaler and self.autoscaler is None:
             raise ConfigurationError(
                 "enable_autoscaler requires an AutoscalerConfig"
-            )
-        if self.data_plane not in ("pooled", "columnar"):
-            raise ConfigurationError(
-                f"unknown data plane {self.data_plane!r} "
-                "(expected 'pooled' or 'columnar')"
             )
 
 
@@ -306,42 +287,6 @@ def run_simulation(
         and isinstance(dispatcher, ArloDispatcher)
         else None
     )
-    # Batch dispatch only engages where it is provably equivalent to
-    # the scalar walk: no decision logging, no tracing (sampled spans
-    # must narrate the real per-request probes), no resilience manager
-    # (its gate and quarantine accounting are per-request), and no
-    # fault plan (victim ranking reads per-instance depths, which the
-    # batch's block pairing would perturb). The certificate inside
-    # `dispatch_batch` guards everything else; on any doubt it returns
-    # None and the scalar loop below handles the run one request at a
-    # time.
-    dispatch_batch = (
-        dispatcher.scheduler.dispatch_batch
-        if config.batch_dispatch
-        and not trace_decisions
-        and tracer is None
-        and manager is None
-        and config.failures is None
-        and isinstance(dispatcher, ArloDispatcher)
-        else None
-    )
-    # Only same-timestamp arrival runs may be batched (a mid-run heap
-    # event could otherwise interleave); runs shorter than this are not
-    # worth the numpy fixed costs. The gate below costs one extra list
-    # compare per arrival in the sparse (Poisson) case.
-    _MIN_BATCH = 8
-    columnar = config.data_plane == "columnar"
-    col_store = ColumnarCompletionStore() if columnar else None
-    if columnar:
-        col_acquire = col_store.acquire
-        col_request_id = col_store.request_id
-        col_instance = col_store.instance
-        col_arrival = col_store.arrival_ms
-        col_length = col_store.length
-        col_runtime = col_store.runtime_index
-        col_token = col_store.attempt_token
-        col_service = col_store.service_ms
-        col_free = col_store._free
 
     def flush_observations() -> None:
         """Feed every arrival processed so far into the demand estimator.
@@ -448,23 +393,14 @@ def run_simulation(
         # is statically satisfied.
         seq = queue._seq
         queue._seq = seq + 1
-        if columnar:
-            rec = col_acquire(
-                request_id, instance, arrival_ms, length,
-                instance.runtime_index, token, finish - start,
-            )
-        else:
-            rec = (
-                COMPLETION_POOL.pop() if COMPLETION_POOL
-                else CompletionRecord()
-            )
-            rec.request_id = request_id
-            rec.instance = instance
-            rec.arrival_ms = arrival_ms
-            rec.length = length
-            rec.runtime_index = instance.runtime_index
-            rec.attempt_token = token
-            rec.service_ms = finish - start
+        rec = COMPLETION_POOL.pop() if COMPLETION_POOL else CompletionRecord()
+        rec.request_id = request_id
+        rec.instance = instance
+        rec.arrival_ms = arrival_ms
+        rec.length = length
+        rec.runtime_index = instance.runtime_index
+        rec.attempt_token = token
+        rec.service_ms = finish - start
         heappush(heap, (finish, COMPLETION, seq, rec))
         return True
 
@@ -584,80 +520,6 @@ def run_simulation(
         # events priority, matching ARRIVAL's maximal kind value) ----
         if next_arrival < n_requests and arrivals_ms[next_arrival] < heap_time:
             now = arrivals_ms[next_arrival]
-            # ---- batch fast path: a same-timestamp arrival run.
-            # Every arrival in the run shares `now < heap_time`, so
-            # the whole run may bypass the heap; same-(time, kind)
-            # grouping is what makes batching order-equivalent (any
-            # event an admit schedules lands strictly later).
-            if (
-                dispatch_batch is not None
-                and next_arrival + _MIN_BATCH <= n_requests
-                and arrivals_ms[next_arrival + _MIN_BATCH - 1] == now
-            ):
-                run_end = next_arrival + _MIN_BATCH
-                while run_end < n_requests and arrivals_ms[run_end] == now:
-                    run_end += 1
-                base_id = next_arrival
-                next_arrival = run_end
-                queue._now = now
-                triples = dispatch_batch(now, lengths[base_id:run_end])
-                scalar_from = base_id
-                if triples is not None:
-                    # Admit-lite over the certified prefix: success is
-                    # guaranteed, so only the completion scheduling
-                    # remains. Per instance the requests are chained
-                    # in ascending request-id order, so each inflight
-                    # FIFO matches its completion order exactly as in
-                    # scalar mode.
-                    scalar_from = base_id + len(triples)
-                    seq = queue._seq
-                    rid = base_id
-                    for instance, start, finish in triples:
-                        if track_attempts:
-                            token = next_token
-                            next_token = token + 1
-                            live_attempt[rid] = token
-                            fifo = inflight.get(instance.instance_id)
-                            if fifo is None:
-                                fifo = inflight[instance.instance_id] = (
-                                    deque()
-                                )
-                            fifo.append((rid, now, lengths[rid], 0))
-                        else:
-                            token = 0
-                        if columnar:
-                            rec = col_acquire(
-                                rid, instance, now, lengths[rid],
-                                instance.runtime_index, token,
-                                finish - start,
-                            )
-                        else:
-                            rec = (
-                                COMPLETION_POOL.pop() if COMPLETION_POOL
-                                else CompletionRecord()
-                            )
-                            rec.request_id = rid
-                            rec.instance = instance
-                            rec.arrival_ms = now
-                            rec.length = lengths[rid]
-                            rec.runtime_index = instance.runtime_index
-                            rec.attempt_token = token
-                            rec.service_ms = finish - start
-                        heappush(heap, (finish, COMPLETION, seq, rec))
-                        seq += 1
-                        rid += 1
-                    queue._seq = seq
-                # Replay the uncertified tail (all of it when the
-                # certificate yielded nothing) through the scalar
-                # walk, in place — no rescan needed, since admits
-                # only push strictly-future events and the whole run
-                # shares this timestamp.
-                for rid in range(scalar_from, run_end):
-                    length = lengths[rid]
-                    if not admit(now, rid, now, length):
-                        deferred.append((rid, now, length, 0))
-                        metrics.deferred_requests += 1
-                continue
             request_id = next_arrival
             length = lengths[next_arrival]
             next_arrival = request_id + 1
@@ -677,46 +539,23 @@ def run_simulation(
 
         if kind is COMPLETION:
             # Drain every same-timestamp completion in one heap visit
-            # (the batch-pop discipline, inlined). The payload is a
-            # pooled record or a columnar slot; either way its fields
-            # are unpacked into locals once so the body is shared.
+            # (the batch-pop discipline, inlined).
             rec = entry[3]
             while True:
-                if columnar:
-                    slot = rec
-                    r_request_id = col_request_id[slot]
-                    r_instance = col_instance[slot]
-                    r_arrival = col_arrival[slot]
-                    r_length = col_length[slot]
-                    r_runtime = col_runtime[slot]
-                    r_token = col_token[slot]
-                    r_service = col_service[slot]
-                else:
-                    r_request_id = rec.request_id
-                    r_instance = rec.instance
-                    r_arrival = rec.arrival_ms
-                    r_length = rec.length
-                    r_runtime = rec.runtime_index
-                    r_token = rec.attempt_token
-                    r_service = rec.service_ms
                 if track_attempts and (
-                    live_attempt.get(r_request_id) != r_token
+                    live_attempt.get(rec.request_id) != rec.attempt_token
                 ):
                     # stale: work was re-dispatched
-                    if columnar:
-                        col_instance[slot] = None
-                        col_free.append(slot)
-                    else:
-                        release_completion(rec)
+                    release_completion(rec)
                 else:
-                    instance = r_instance
+                    instance = rec.instance
                     if track_attempts:
                         served = inflight[instance.instance_id].popleft()
-                        if served[0] != r_request_id:  # pragma: no cover - FIFO invariant
+                        if served[0] != rec.request_id:  # pragma: no cover - FIFO invariant
                             raise SimulationError(
                                 "completion order diverged from FIFO"
                             )
-                        del live_attempt[r_request_id]
+                        del live_attempt[rec.request_id]
                     # --- RuntimeInstance.complete, inlined (the call
                     # runs once per served request) ---
                     out = instance.outstanding - 1
@@ -751,24 +590,25 @@ def run_simulation(
                         on_complete(instance)
                     outstanding -= 1
                     completed += 1
-                    latency = now - r_arrival
-                    if r_arrival >= warmup_ms:
+                    arrival = rec.arrival_ms
+                    latency = now - arrival
+                    if arrival >= warmup_ms:
                         lat_buf.append(latency)
-                        rt_buf.append(r_runtime)
+                        rt_buf.append(rec.runtime_index)
                         if len(lat_buf) == CHUNK:
                             metrics._flush_chunk()
                             lat_buf = metrics._current
                             rt_buf = metrics._current_runtime
                     if tracer is not None:
-                        tracer.on_complete(r_request_id, now, r_service)
+                        tracer.on_complete(rec.request_id, now, rec.service_ms)
                     if autoscaler is not None:
                         autoscaler.observe(latency)
                     if manager is not None:
                         # instance._service_table[L] == nominal service
                         # + overhead, the exact sum the profiler uses.
-                        nominal = instance._service_table[r_length]
+                        nominal = instance._service_table[rec.length]
                         ratio = (
-                            r_service / nominal if nominal > 0 else 1.0
+                            rec.service_ms / nominal if nominal > 0 else 1.0
                         )
                         schedule_probe(
                             manager.on_service_sample(now, instance, ratio),
@@ -776,13 +616,9 @@ def run_simulation(
                         )
                     if control._pending:
                         control.on_completion(now, instance)
-                    # inlined release (pool push-back vs slot recycle)
-                    if columnar:
-                        col_instance[slot] = None
-                        col_free.append(slot)
-                    else:
-                        rec.instance = None
-                        COMPLETION_POOL.append(rec)
+                    # inlined release_completion
+                    rec.instance = None
+                    COMPLETION_POOL.append(rec)
                     if deferred:
                         flush_deferred(now)
                 if heap and heap[0][0] == now and heap[0][1] is COMPLETION:

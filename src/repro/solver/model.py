@@ -187,10 +187,6 @@ class Model:
     def num_vars(self) -> int:
         return len(self._lb)
 
-    @property
-    def num_constraints(self) -> int:
-        return len(self._constraints)
-
     def add_var(
         self,
         lb: float = 0.0,

@@ -71,37 +71,6 @@ def test_drain_keeps_all_outstanding_until_completion():
     assert cluster.total_outstanding() == 0
 
 
-def test_on_enqueue_many_matches_repeated_on_enqueue():
-    """The batch dispatcher's bulk hook must leave the aggregates
-    exactly where N single enqueues would — active and drained
-    (uncounted) members alike."""
-    one, many = small_cluster(), small_cluster()
-    for cluster, bulk in ((one, False), (many, True)):
-        inst = cluster.active_instances(0)[0]
-        if bulk:
-            inst.outstanding += 3  # dispatch_batch bumps state itself
-            cluster.congestion.on_enqueue_many(inst, 3)
-        else:
-            for _ in range(3):
-                inst.enqueue(0.0, inst.max_length)
-        drained = cluster.active_instances(1)[0]
-        drained.enqueue(0.0, drained.max_length)
-        drained.begin_drain()
-        # A drained member is uncounted per-level but still carries
-        # in-flight totals; drive the tracker hooks directly (enqueue
-        # itself refuses non-active instances).
-        drained.outstanding += 2
-        if bulk:
-            cluster.congestion.on_enqueue_many(drained, 2)
-        else:
-            for _ in range(2):
-                cluster.congestion.on_enqueue(drained)
-    assert np.array_equal(one.congestion.outstanding, many.congestion.outstanding)
-    assert one.congestion.all_outstanding == many.congestion.all_outstanding
-    check(one)
-    check(many)
-
-
 def test_crash_voids_outstanding_work():
     cluster = small_cluster()
     inst = cluster.active_instances(0)[0]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.schemes import build_scheme
+from repro.core.runtime_scheduler import RuntimeSchedulerConfig
 from repro.errors import ConfigurationError
-from repro.sim.faults import FailureEvent, FailurePlan
+from repro.sim.faults import BlackoutEvent, FailureEvent, FailurePlan, FaultPlan
 from repro.sim.simulation import SimulationConfig, run_simulation
 from repro.units import seconds
 from repro.workload.trace import Trace
@@ -126,3 +127,25 @@ def test_failure_with_crashless_cluster_is_noop():
     scheme = build_scheme("st", "bert-base", 2)
     result = run_simulation(scheme, trace, SimulationConfig(failures=plan))
     assert result.stats.count == len(trace)
+
+
+def test_fleet_wide_blackout_across_a_period_end_holds_the_deployment():
+    # Both instances are suspended from 3.5 s to 4.5 s, so the 4 s
+    # reschedule finds nothing deployable. The Runtime Scheduler keeps
+    # the current deployment; the blacked-out work retries and every
+    # request completes once the instances resume.
+    trace = bursty_trace(rate=50, duration_s=10, seed=3)
+    scheme = build_scheme(
+        "arlo", "bert-base", 2,
+        trace_hint=trace.slice_time(0, seconds(2)),
+        runtime_scheduler_config=RuntimeSchedulerConfig(period_ms=seconds(2)),
+    )
+    plan = FaultPlan(events=[
+        BlackoutEvent(time_ms=3_500.0, victim_rank=0, duration_ms=seconds(1)),
+        BlackoutEvent(time_ms=3_500.0, victim_rank=1, duration_ms=seconds(1)),
+    ])
+    result = run_simulation(scheme, trace, SimulationConfig(failures=plan))
+    assert result.stats.count == len(trace)
+    assert result.control_stats["blackouts"] == 2
+    assert seconds(4) in [t for t, _, _ in scheme.runtime_scheduler.history]
+    assert scheme.cluster.num_active_instances == 2
