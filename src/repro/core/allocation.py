@@ -193,7 +193,12 @@ class AllocationProblem:
         return lb
 
     def is_feasible(self, allocation: np.ndarray, relaxed: bool = False) -> bool:
-        """Check Eqs. 2, 3 and 7 for a candidate allocation."""
+        """Check Eqs. 2, 3 and 7 for a candidate allocation.
+
+        ``False`` (never :class:`InfeasibleError`) when the bounds
+        themselves cannot fit in ``num_gpus``: then no allocation is
+        feasible.
+        """
         allocation = np.asarray(allocation, dtype=np.int64)
         if allocation.shape != self.demand.shape or np.any(allocation < 0):
             return False
@@ -201,7 +206,10 @@ class AllocationProblem:
             return False
         if allocation[-1] < 1:
             return False
-        lb = self.lower_bounds(relax=relaxed)
+        try:
+            lb = self.lower_bounds(relax=relaxed)
+        except InfeasibleError:
+            return False
         return bool(np.all(allocation >= lb))
 
 
@@ -245,8 +253,25 @@ def _dp_labels(
     lb: np.ndarray,
     upper_bound: float = float("inf"),
     expires_at: float | None = None,
-):
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Pareto-label DP over (runtime, gpus-used) with (cost, carry) labels.
+
+    Runs one NumPy sweep per stage (runtime ``i``). A stage's surviving
+    labels are parallel arrays ``used``/``cost``/``carry`` plus a
+    back-pointer (parent label, instances ``n``) per label; allocations
+    are rebuilt from the back-pointers at the end. Every (label, n)
+    expansion of a stage is formed by broadcasting, label-major and
+    n-ascending, with the scalar :meth:`AllocationProblem.serve_cost`
+    arithmetic evaluated in the same operation order, so costs are
+    bit-identical to a per-label loop.
+
+    Each ``used`` bucket is then Pareto-pruned on (cost, carry): one
+    stable lexsort orders buckets by first insertion and entries by
+    (cost, carry), ties keeping expansion order. Only an entry whose
+    carry is strictly below every earlier carry in its bucket can
+    survive, so the exact ``carry < best - _EPS`` scan runs over those
+    candidates only. Exact ties (common when demand is far below one
+    instance's capacity) are thereby resolved by insertion order.
 
     ``upper_bound`` is an incumbent cost from a known-feasible
     allocation (warm start): partial paths already costlier can never
@@ -255,66 +280,95 @@ def _dp_labels(
     ≤ the bound survives intact.
 
     ``expires_at`` is an absolute ``time.perf_counter()`` deadline; the
-    clock is polled every 128 label expansions (µs-granular at 1000-GPU
-    scale) and :class:`_BudgetExpired` raised on expiry.
+    clock is polled at the start of every stage and before every
+    bucket's scan, and :class:`_BudgetExpired` raised on expiry.
+
+    Returns the final labels' costs (all in bucket ``used == G``,
+    cheapest first) and the allocation of the first, cheapest one —
+    ``None`` when no feasible allocation survives.
     """
     G, I = problem.num_gpus, problem.num_runtimes
-    ticks = 0
     # Suffix lower-bound sums: GPUs that *must* remain for runtimes > i.
     suffix = np.concatenate([np.cumsum(lb[::-1])[::-1][1:], [0]])
-    # labels[g] = list of (cost, carry, alloc_tuple) Pareto-optimal prefixes.
-    labels: dict[int, list[tuple[float, float, tuple[int, ...]]]] = {
-        0: [(0.0, 0.0, ())]
-    }
+    used = np.zeros(1, dtype=np.int64)
+    cost = np.zeros(1)
+    carry = np.zeros(1)
+    parents: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
     for i in range(I):
+        if expires_at is not None and time.perf_counter() >= expires_at:
+            raise _BudgetExpired
+        lo = int(lb[i])
         is_last = i == I - 1
-        new_labels: dict[int, list[tuple[float, float, tuple[int, ...]]]] = {}
-        for used, frontier in labels.items():
+        if is_last:
+            # The last runtime takes every GPU left (Eq. 2).
+            parent = np.flatnonzero(G - used >= lo)
+            n = G - used[parent]
+        else:
             max_n = G - used - int(suffix[i])
-            if max_n < lb[i]:
-                continue
-            for cost, carry, alloc in frontier:
-                arrive = carry + problem.demand[i]
-                for n in range(int(lb[i]), max_n + 1):
-                    ticks += 1
-                    if (
-                        expires_at is not None
-                        and not ticks & 127
-                        and time.perf_counter() >= expires_at
-                    ):
-                        raise _BudgetExpired
-                    cap = n * float(problem.capacity[i])
-                    if is_last:
-                        if used + n != G:
-                            continue
-                        served, new_carry = arrive, 0.0
-                    else:
-                        served = min(arrive, cap)
-                        new_carry = max(arrive - cap, 0.0)
-                    step_cost = problem.serve_cost(i, served, n)
-                    if step_cost == float("inf"):
-                        continue
-                    total = cost + step_cost
-                    if total > upper_bound + _EPS:
-                        continue  # cannot beat the warm-start incumbent
-                    entry = (total, new_carry, alloc + (n,))
-                    new_labels.setdefault(used + n, []).append(entry)
-        # Pareto-prune each bucket on (cost, carry). The sorts are the
-        # other place a stage spends real time (O(E log E) over every
-        # surviving label), so the deadline is polled per bucket too.
-        labels = {}
-        for used, entries in new_labels.items():
-            if expires_at is not None and time.perf_counter() >= expires_at:
-                raise _BudgetExpired
-            entries.sort(key=lambda e: (e[0], e[1]))
-            pruned: list[tuple[float, float, tuple[int, ...]]] = []
-            best_carry = float("inf")
-            for e in entries:
-                if e[1] < best_carry - _EPS:
-                    pruned.append(e)
-                    best_carry = e[1]
-            labels[used] = pruned
-    return labels
+            choices = lo + np.arange(max(int(max_n.max()) - lo + 1, 0))
+            parent, col = np.nonzero(choices[None, :] <= max_n[:, None])
+            n = choices[col]
+        arrive = carry[parent] + problem.demand[i]
+        if is_last:
+            served, new_carry = arrive, np.zeros(arrive.size)
+        else:
+            cap = n * float(problem.capacity[i])
+            served = np.minimum(arrive, cap)
+            new_carry = np.maximum(arrive - cap, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = np.maximum(served / n, 1.0)
+            step = (
+                problem.overhead_ms
+                + problem.service_ms[i] * (batch + 1.0) / 2.0
+            ) * served
+        busy = served > _EPS
+        step[~busy] = 0.0
+        total = cost[parent] + step
+        keep = ~(busy & (n <= 0)) & ~(total > upper_bound + _EPS)
+        parent, n, total, new_carry = (
+            parent[keep], n[keep], total[keep], new_carry[keep]
+        )
+        if total.size == 0:
+            return total, None
+        new_used = used[parent] + n
+        _, first, inverse = np.unique(
+            new_used, return_index=True, return_inverse=True
+        )
+        # A bucket's key is its first insertion; ties keep expansion order.
+        inserted = first[inverse]
+        order = np.lexsort((new_carry, total, inserted))
+        s_carry = new_carry[order]
+        bucket = np.cumsum(np.r_[True, np.diff(inserted[order]) != 0])
+        # Running minimum of the earlier carries in each bucket, taken on
+        # dense carry ranks offset so every later bucket's keys sit below
+        # all of an earlier bucket's: one accumulate serves all buckets.
+        _, rank = np.unique(s_carry, return_inverse=True)
+        key = rank + (bucket[-1] - bucket) * (int(rank.max()) + 1)
+        earlier = np.r_[np.iinfo(np.int64).max, np.minimum.accumulate(key)[:-1]]
+        cand = np.flatnonzero(key < earlier)
+        kept: list[int] = []
+        current, best = -1, float("inf")
+        for j, b, c in zip(
+            cand.tolist(), bucket[cand].tolist(), s_carry[cand].tolist()
+        ):
+            if b != current:
+                if expires_at is not None and time.perf_counter() >= expires_at:
+                    raise _BudgetExpired
+                current, best = b, float("inf")
+            if c < best - _EPS:
+                kept.append(j)
+                best = c
+        sel = order[kept]
+        used, cost, carry = new_used[sel], total[sel], new_carry[sel]
+        parents.append(parent[sel])
+        counts.append(n[sel])
+    alloc = np.empty(I, dtype=np.int64)
+    label = 0
+    for i in range(I - 1, -1, -1):
+        alloc[i] = counts[i][label]
+        label = parents[i][label]
+    return cost, alloc
 
 
 def solve_dp(
@@ -345,7 +399,9 @@ def solve_dp(
     warm = _warm_allocation(problem, warm_start, relax)
     upper = problem.evaluate(warm) if warm is not None else float("inf")
     try:
-        labels = _dp_labels(problem, lb, upper_bound=upper, expires_at=expires_at)
+        final, alloc = _dp_labels(
+            problem, lb, upper_bound=upper, expires_at=expires_at
+        )
     except _BudgetExpired:
         if warm is None:
             raise DeadlineExceeded(
@@ -359,13 +415,11 @@ def solve_dp(
             relaxed=relax,
             stats={"warm_started": True, "interrupted": True},
         )
-    final = labels.get(problem.num_gpus, [])
-    if not final:
+    if alloc is None:
         raise InfeasibleError("no feasible allocation found by the DP")
-    cost, _carry, alloc = min(final, key=lambda e: e[0])
     return AllocationResult(
-        allocation=np.asarray(alloc, dtype=np.int64),
-        objective=cost,
+        allocation=alloc,
+        objective=final[0],
         solver="dp",
         solve_time_s=time.perf_counter() - start,
         relaxed=relax,

@@ -47,8 +47,8 @@ from repro.errors import ConfigurationError, DeadlineExceeded, SolverError
 _MIN_BUDGET_FRAC = 0.1
 
 #: Fraction of the deadline reserved as overrun headroom. Budgeted
-#: solvers poll the clock at a finite granularity (every ~128 DP label
-#: expansions, every descent-move sweep) and the ladder itself spends a
+#: solvers poll the clock at a finite granularity (every DP stage and
+#: bucket scan, every descent-move sweep) and the ladder itself spends a
 #: little between rungs; handing a rung the *full* remaining budget
 #: would let those overruns breach the caller's deadline.
 _SAFETY_FRAC = 0.1
@@ -75,8 +75,9 @@ class LadderRung:
 #:
 #: The DP rung is gated to the same scale the ``auto`` solver uses it
 #: at (≤ ``_DP_SCALE_LIMIT`` GPUs). Beyond that a full DP sweep takes
-#: seconds, so a realtime budget can never let it finish — and its
-#: millions of label tuples trigger GC pauses long enough to blow a
+#: hundreds of milliseconds and more, so a realtime budget can never
+#: let it finish — and a single stage's vectorised expansion (label ×
+#: instance pairs, growing with the square of the fleet) can blow a
 #: 50 ms deadline *between* two clock polls. A rung that can only ever
 #: burn budget and risk the deadline is not an upgrade path.
 RUNGS: dict[str, LadderRung] = {

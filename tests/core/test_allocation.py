@@ -111,6 +111,17 @@ def test_is_feasible():
     assert not p.is_feasible(np.array([2, 2, 0]))  # violates Eq. 7
 
 
+def test_is_feasible_false_when_strict_bounds_exceed_gpus():
+    # Strict Eq. 3 bounds need 3 + 3 GPUs of the 2 available: no
+    # allocation is feasible, which is an answer, not an error.
+    p = AllocationProblem(num_gpus=2, demand=[30, 30], capacity=[10, 10],
+                          service_ms=[1, 2])
+    with pytest.raises(InfeasibleError):
+        p.lower_bounds()
+    assert not p.is_feasible([1, 1])
+    assert p.is_feasible([0, 2], relaxed=True)
+
+
 # -- solver cross-validation ---------------------------------------------------
 
 def test_dp_matches_bruteforce_basic():

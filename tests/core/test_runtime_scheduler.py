@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cluster.state import ClusterState
+from repro.core.allocation import AllocationProblem, AllocationResult
 from repro.core.bins import LengthBins
 from repro.core.demand import DemandEstimator
 from repro.core.runtime_scheduler import RuntimeScheduler, RuntimeSchedulerConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleError
+from repro.perf.cache import AllocationCache, profile_fingerprint
 from repro.runtimes.models import bert_base
 from repro.runtimes.registry import build_polymorph_set
 from repro.units import seconds
@@ -54,6 +56,39 @@ def test_overload_falls_back_to_relaxed_bounds():
     feed(scheduler, [500], rate_per_s=20_000.0, duration_s=10.0)
     result = scheduler.decide(seconds(10), num_gpus=2)  # hopeless demand
     assert result.relaxed
+    assert result.allocation.sum() == 2
+
+
+def test_approx_cache_hit_under_overload_solves_relaxed_not_held():
+    # Ladder mode checks an approximate cache hit with is_feasible
+    # against the live problem. Under overload the strict Eq. 3 bounds
+    # exceed the fleet: the check must reject the cached allocation and
+    # fall through to the relaxed solve, not raise out of decide() and
+    # turn a solvable period into a fallback hold.
+    scheduler = make_scheduler(solver_ladder=True, enable_cache=True,
+                               cache_tolerance=0.05, solve_deadline_ms=2_000.0)
+    state = ClusterState.bootstrap(REGISTRY, [0, 0, 0, 0, 0, 0, 0, 2])
+    feed(scheduler, [500], rate_per_s=20_000.0, duration_s=10.0)
+    now = seconds(10)
+    demand = scheduler.estimator.demand(now)
+    problem = AllocationProblem.from_profiles(2, demand, list(REGISTRY))
+    with pytest.raises(InfeasibleError):
+        problem.lower_bounds()
+    fingerprint = profile_fingerprint(
+        problem.capacity, problem.service_ms, problem.overhead_ms
+    )
+    near = demand * 1.01  # within the 5% tolerance, a different key
+    cached = AllocationResult(
+        allocation=np.array([0, 0, 0, 0, 0, 0, 1, 1]), objective=1.0,
+        solver="dp", solve_time_s=0.0, relaxed=False,
+    )
+    key = AllocationCache.key_for(near, 2, fingerprint, "anytime", False)
+    scheduler.cache.store(now, key, 2, fingerprint, near, cached)
+    result, _plan = scheduler.step(now, state)
+    assert result.solver != "fallback-hold"
+    assert scheduler.solver_fallbacks == 0
+    assert result.relaxed
+    assert not result.stats.get("approx_hit")
     assert result.allocation.sum() == 2
 
 
