@@ -34,6 +34,7 @@ from repro.io.results import result_to_dict, save_result_summary
 from repro.io.traces import load_trace, save_trace
 from repro.runtimes.models import MODEL_ZOO
 from repro.runtimes.registry import build_polymorph_set
+from repro.sim.generative import build_generative_config
 from repro.sim.simulation import SimulationConfig, run_simulation
 from repro.units import seconds
 from repro.workload.twitter import TwitterTraceConfig, generate_twitter_trace
@@ -119,21 +120,13 @@ def _generative_config_from_args(args: argparse.Namespace):
             raise SystemExit("--disagg requires --generative (the pools "
                              "serve a prefill+decode workload)")
         return None
-    from repro.sim.generative import GenerativeConfig
-
-    disagg = None
-    if getattr(args, "disagg", False):
-        from repro.sim.disagg import DisaggConfig
-
-        disagg = DisaggConfig(
-            transfer_ms_per_token=args.transfer_ms_per_token,
-            prefill_fraction=args.prefill_fraction,
-        )
-    return GenerativeConfig(
+    return build_generative_config(
         max_batch=args.max_batch,
         continuous_batching=not args.gang,
         chunk_steps=args.chunk_steps,
-        disagg=disagg,
+        disagg=args.disagg,
+        transfer_ms_per_token=args.transfer_ms_per_token,
+        prefill_fraction=args.prefill_fraction,
     )
 
 

@@ -19,6 +19,7 @@ from repro.runtimes.models import get_model
 from repro.runtimes.registry import RuntimeRegistry, build_polymorph_set
 from repro.runtimes.staircase import polymorph_lengths_for_count
 from repro.sim.faults import FaultPlan
+from repro.sim.generative import build_generative_config
 from repro.sim.simulation import SimulationConfig, SimulationResult, run_simulation
 from repro.units import seconds
 from repro.workload.trace import Trace
@@ -106,8 +107,8 @@ class ExperimentSpec:
     #: Sampled decode-length quantiles (``generative`` only).
     decode_median: int = 64
     decode_p98: int = 256
-    #: Disaggregated prefill/decode pools (``generative`` only): run
-    #: the two-pool loop with KV handoff and adaptive rebalancing.
+    #: Disaggregated prefill/decode pools (``generative`` only): serve
+    #: through two pools with KV handoff and adaptive rebalancing.
     disagg: bool = False
     #: KV-cache transfer cost per prompt token (``disagg`` only).
     transfer_ms_per_token: float = 0.02
@@ -157,23 +158,17 @@ class ExperimentSpec:
                     "level-partitioned space shards require a static "
                     "cluster (no autoscaler)"
                 )
+        if self.disagg and not self.generative:
+            raise ConfigurationError(
+                "disagg requires generative=True (the pools serve "
+                "a prefill+decode workload)"
+            )
         if self.generative:
             if self.shard is not None or self.space_shard is not None:
                 raise ConfigurationError(
                     "generative runs do not shard: decode batches span "
                     "shard boundaries"
                 )
-            if self.autoscaler is not None:
-                raise ConfigurationError(
-                    "generative runs do not support the autoscaler yet"
-                )
-            # Validate the decode knobs at spec construction so a bad
-            # sweep fails before any trace is generated — the same
-            # checks GenerativeConfig repeats at simulation time.
-            if self.max_batch < 1:
-                raise ConfigurationError("max_batch must be >= 1")
-            if self.chunk_steps < 1:
-                raise ConfigurationError("chunk_steps must be >= 1")
             if self.decode_median < 1:
                 raise ConfigurationError("decode_median must be >= 1")
             if self.decode_p98 < self.decode_median:
@@ -181,20 +176,9 @@ class ExperimentSpec:
                     "decode_p98 must be >= decode_median (quantiles "
                     "cannot invert)"
                 )
-        if self.disagg:
-            if not self.generative:
-                raise ConfigurationError(
-                    "disagg requires generative=True (the pools serve "
-                    "a prefill+decode workload)"
-                )
-            if self.transfer_ms_per_token < 0:
-                raise ConfigurationError(
-                    "transfer_ms_per_token cannot be negative"
-                )
-            if not 0.0 < self.prefill_fraction < 1.0:
-                raise ConfigurationError(
-                    "prefill_fraction must be strictly between 0 and 1"
-                )
+            # Building the simulation config checks the decode knobs
+            # (and rejects the autoscaler) before any trace is generated.
+            self.sim_config()
 
     def scaled(self, factor: float) -> "ExperimentSpec":
         """Proportionally shrink rate and GPUs (constant per-GPU load)."""
@@ -374,21 +358,13 @@ class ExperimentSpec:
         if self.retry != "default":
             kwargs["retry"] = self.retry
         if self.generative:
-            from repro.sim.generative import GenerativeConfig
-
-            disagg_cfg = None
-            if self.disagg:
-                from repro.sim.disagg import DisaggConfig
-
-                disagg_cfg = DisaggConfig(
-                    transfer_ms_per_token=self.transfer_ms_per_token,
-                    prefill_fraction=self.prefill_fraction,
-                )
-            kwargs["generative"] = GenerativeConfig(
+            kwargs["generative"] = build_generative_config(
                 max_batch=self.max_batch,
                 continuous_batching=self.continuous_batching,
                 chunk_steps=self.chunk_steps,
-                disagg=disagg_cfg,
+                disagg=self.disagg,
+                transfer_ms_per_token=self.transfer_ms_per_token,
+                prefill_fraction=self.prefill_fraction,
             )
         return SimulationConfig(
             enable_autoscaler=self.autoscaler is not None,

@@ -6,7 +6,10 @@ resource allocation with batched instance replacement (~1 s per swap),
 target-tracking auto-scaling, and the fixed 0.8 ms per-request
 overhead used for calibration (§5.2.1).
 
-Entry point: :func:`repro.sim.simulation.run_simulation`.
+Entry point: :func:`repro.sim.simulation.run_simulation`. It runs the
+discriminative loop itself and hands generative runs (co-located or on
+disaggregated pools) to :mod:`repro.sim.generative`; both loops share
+the cold-path kernel in :mod:`repro.sim.kernel`.
 """
 
 from repro.sim.engine import EventQueue
@@ -19,7 +22,7 @@ from repro.sim.faults import (
     SlowdownEvent,
     SolverFaultEvent,
 )
-from repro.sim.generative import GenerativeConfig, run_generative_simulation
+from repro.sim.generative import GenerativeConfig
 from repro.sim.metrics import LatencyStats, MetricsCollector
 from repro.sim.replay import replay_trace
 from repro.sim.simulation import SimulationConfig, SimulationResult, run_simulation
@@ -39,6 +42,5 @@ __all__ = [
     "SlowdownEvent",
     "SolverFaultEvent",
     "replay_trace",
-    "run_generative_simulation",
     "run_simulation",
 ]

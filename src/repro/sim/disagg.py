@@ -1,17 +1,19 @@
 """Disaggregated prefill/decode instance pools with adaptive rebalancing.
 
-The co-located generative loop (:mod:`repro.sim.generative`) folds a
-request's prompt pass into its decode instance's next step. Production
-LLM serving increasingly *disaggregates* instead (Arrow, arxiv
-2505.11916): a **prefill pool** runs prompt passes as ordinary batch-1
-service intervals placed by Algorithm 1, a **decode pool** runs the
-continuous-batching step loop, and the KV cache produced by prefill is
-*transferred* between the pools at a configurable per-token cost. The
-two pools decouple the TTFT tail (prefill queueing) from token
-throughput (decode batching) — at the price of the handoff and of
-having to size the pools.
+The co-located generative loop folds a request's prompt pass into its
+decode instance's next step. Production LLM serving increasingly
+*disaggregates* instead (Arrow, arxiv 2505.11916): a **prefill pool**
+runs prompt passes as ordinary batch-1 service intervals placed by
+Algorithm 1, a **decode pool** runs the continuous-batching step loop,
+and the KV cache produced by prefill is *transferred* between the pools
+at a configurable per-token cost. The two pools decouple the TTFT tail
+(prefill queueing) from token throughput (decode batching) — at the
+price of the handoff and of having to size the pools.
 
-The loop here models that end to end on the same pooled event store:
+This is a pool topology over the generative decode loop
+(:func:`repro.sim.generative.run_generative_simulation`), not a second
+simulator: :class:`DisaggPools` holds the role bookkeeping the loop
+and the shared fault plane (:mod:`repro.sim.kernel`) call into.
 
 - **Prefill**: arrivals walk Algorithm 1 (`ArloRequestScheduler`) over
   a prefill-pool-only multi-level queue; the chosen instance serves the
@@ -24,9 +26,9 @@ The loop here models that end to end on the same pooled event store:
   choice sees in-flight handoffs.
 - **Decode**: the transferred request joins the target's waiting queue
   and decodes through the same continuous-batching step machinery as
-  the co-located loop (``_DecodeState``; batch-size-dependent step
-  latency; ``chunk_steps``; gang mode) — minus the prefill fold-in,
-  which the prefill pool already paid.
+  the co-located loop (batch-size-dependent step latency;
+  ``chunk_steps``; gang mode) — minus the prefill fold-in, which the
+  prefill pool already paid.
 - **Rebalancing**: each Runtime Scheduler period solves the coupled
   split (:meth:`RuntimeScheduler.decide_pool_split` — greedy scan over
   the prompt-demand estimate + decode-occupancy pressure, optionally
@@ -42,10 +44,9 @@ The loop here models that end to end on the same pooled event store:
   (``decode_steps >= trace.total_decode_steps``, equality without
   faults). A recovered GPU rejoins with its victim's role.
 
-Determinism matches the co-located loop: single-threaded over the
-deterministic event queue, no wall-clock reads in any decision
-(the split scan is greedy; anytime refinement cannot change the
-split), so two runs of the same (trace, scheme, config) produce
+Determinism matches the co-located loop: no wall-clock reads in any
+decision (the split scan is greedy; anytime refinement cannot change
+the split), so two runs of the same (trace, scheme, config) produce
 byte-identical stats.
 """
 
@@ -53,44 +54,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop
-from time import perf_counter
+from typing import TYPE_CHECKING
 
-from repro.baselines.dispatchers import ArloDispatcher
-from repro.baselines.schemes import Scheme
 from repro.cluster.instance import InstanceStatus, RuntimeInstance
 from repro.core.mlq import MultiLevelQueue
 from repro.core.pool_split import PoolSplitConfig
 from repro.core.request_scheduler import ArloRequestScheduler
-from repro.errors import (
-    CapacityError,
-    ConfigurationError,
-    SchedulingError,
-    SimulationError,
-    SolverError,
-)
-from repro.obs.spans import RequestTracer
-from repro.obs.timeline import ControlTimeline
-from repro.resilience.retry import RetryBudget
-from repro.sim.engine import EventQueue
-from repro.sim.events import (
-    BlackoutEndPayload,
-    EventKind,
-    RecoveryPayload,
-    RetryPayload,
-    SlowdownEndPayload,
-    acquire_decode_task,
-    release_decode_task,
-)
-from repro.sim.faults import (
-    BlackoutEvent,
-    FailureEvent,
-    SlowdownEvent,
-    SolverFaultEvent,
-)
-from repro.sim.generative import _DecodeState
-from repro.sim.metrics import MetricsCollector, StreamingLatencySummary
-from repro.workload.generative import GenerativeTrace
+from repro.errors import ConfigurationError, SchedulingError, SolverError
+from repro.sim.events import EventKind
+from repro.sim.kernel import Colocated
+
+if TYPE_CHECKING:
+    from repro.sim.kernel import SimKernel
 
 PREFILL = "prefill"
 DECODE = "decode"
@@ -144,234 +119,114 @@ class DisaggConfig:
         )
 
 
-def run_disagg_simulation(
-    scheme: Scheme,
-    trace: GenerativeTrace,
-    config,
-) -> "SimulationResult":
-    """Serve a prefill+decode trace on disaggregated instance pools.
 
-    ``config`` is a :class:`~repro.sim.simulation.SimulationConfig`
-    whose ``generative.disagg`` is set; `run_simulation` delegates here
-    so callers never invoke this directly.
+
+class DisaggPools(Colocated):
+    """Role bookkeeping of the two pools, driven by the generative loop.
+
+    ``mlq`` is the prefill pool's multi-level queue (the one placement
+    walks and fault victims leave); ``sched`` places prompts on it.
+    ``states`` is the loop's instance_id -> decode state map, shared so
+    a voided or flipped decode instance drops its state.
     """
-    from repro.sim.simulation import SimulationResult
 
-    wall_start = perf_counter()
-    if not isinstance(trace, GenerativeTrace):
-        raise ConfigurationError(
-            "disaggregated simulation needs a GenerativeTrace "
-            "(attach decode lengths with attach_decode_lengths)"
+    def __init__(self, config: DisaggConfig, kernel: SimKernel,
+                 states: dict, max_batch: int):
+        scheme = kernel.scheme
+        registry = scheme.registry
+        self.config = config
+        self.kernel = kernel
+        self.states = states
+        self.max_batch = max_batch
+        self.top_level = len(registry) - 1
+        # Initial role partition. Shortest runtimes decode (their step
+        # tables are cheapest per token); the tail of the (runtime_index,
+        # instance_id) ordering stays prefill, which always keeps the
+        # Eq. 7 top-runtime instance on the prefill side so every prompt
+        # length remains placeable.
+        ordered = sorted(
+            scheme.cluster.active_instances(),
+            key=lambda i: (i.runtime_index, i.instance_id),
         )
-    if not len(trace):
-        raise SimulationError("cannot simulate an empty trace")
-    if not isinstance(scheme.dispatcher, ArloDispatcher):
-        raise ConfigurationError(
-            "the disaggregated data plane requires Algorithm-1 placement "
-            f"(Arlo-family scheme), got {scheme.name!r}"
-        )
-    if config.enable_autoscaler:
-        raise ConfigurationError(
-            "disaggregated simulation does not support the autoscaler yet"
-        )
-    if config.resilience is not None:
-        raise ConfigurationError(
-            "disaggregated simulation does not support the resilience "
-            "manager yet (retry policy and fault plans are supported)"
-        )
-    gen = config.generative
-    disagg: DisaggConfig = gen.disagg
-    if not isinstance(disagg, DisaggConfig):
-        raise ConfigurationError(
-            "GenerativeConfig.disagg must be a DisaggConfig, got "
-            f"{type(disagg).__name__}"
-        )
-    max_batch = gen.max_batch
-    continuous = gen.continuous_batching
-    chunk_steps = gen.chunk_steps
-    transfer_per_token = disagg.transfer_ms_per_token
-
-    queue = EventQueue()
-    metrics = MetricsCollector(slo_ms=scheme.slo_ms)
-    obs = config.observability
-    tracer: RequestTracer | None = None
-    timeline: ControlTimeline | None = None
-    if obs is not None:
-        if obs.sample_rate > 0:
-            tracer = RequestTracer(obs.sample_rate, obs.max_spans)
-        if obs.timeline:
-            timeline = ControlTimeline()
-
-    retry_policy = config.retry
-    retry_rng = retry_policy.rng() if retry_policy is not None else None
-    retry_budget = (
-        RetryBudget(retry_policy.budget_for(len(trace)))
-        if retry_policy is not None
-        else None
-    )
-
-    arrivals_np = trace.arrival_ms
-    prefill_np = trace.length
-    arrivals_ms = arrivals_np.tolist()
-    prefills = prefill_np.tolist()
-    decode_lens = trace.decode_len.tolist()
-    n_requests = len(trace)
-    next_arrival = 0
-    observed_upto = 0
-    deferred: list[tuple[int, int]] = []
-    outstanding = 0
-    completed = 0
-    last_gpu_count = scheme.cluster.num_gpus
-    metrics.sample_gpus(0.0, last_gpu_count)
-    failures_injected = 0
-    requests_lost = 0
-    slowdowns_injected = 0
-    blackouts_injected = 0
-    solver_faults_injected = 0
-    timeouts = 0
-    retries_scheduled = 0
-    pending_retries = 0
-    decode_steps_total = 0
-    step_events = 0
-    batch_joins = 0
-    kv_transfers = 0
-    kv_transfers_voided = 0
-    pool_flips = 0
-    prefill_completions = 0
-
-    registry = scheme.registry
-    top_level = len(registry) - 1
-    estimator = scheme.demand_estimator
-    runtime_scheduler = scheme.runtime_scheduler
-    warmup_ms = config.warmup_ms
-    max_events = config.max_events
-    ttft = StreamingLatencySummary()
-    tpot = StreamingLatencySummary()
-
-    # ------------------------------------------------------------------
-    # Initial role partition. Shortest runtimes decode (their step
-    # tables are cheapest per token); the tail of the (runtime_index,
-    # instance_id) ordering stays prefill, which always keeps the
-    # Eq. 7 top-runtime instance on the prefill side so every prompt
-    # length remains placeable.
-    # ------------------------------------------------------------------
-    all_active = sorted(
-        scheme.cluster.active_instances(),
-        key=lambda i: (i.runtime_index, i.instance_id),
-    )
-    n_instances = len(all_active)
-    if n_instances < disagg.min_prefill + disagg.min_decode:
-        raise ConfigurationError(
-            f"{n_instances} instances cannot satisfy min_prefill="
-            f"{disagg.min_prefill} + min_decode={disagg.min_decode}"
-        )
-    n_decode = int(round((1.0 - disagg.prefill_fraction) * n_instances))
-    n_decode = max(disagg.min_decode,
-                   min(n_decode, n_instances - disagg.min_prefill))
-    decode_pool: dict[int, RuntimeInstance] = {
-        inst.instance_id: inst for inst in all_active[:n_decode]
-    }
-    prefill_pool: dict[int, RuntimeInstance] = {
-        inst.instance_id: inst for inst in all_active[n_decode:]
-    }
-    roles: dict[int, str] = {}
-    for iid in prefill_pool:
-        roles[iid] = PREFILL
-    for iid in decode_pool:
-        roles[iid] = DECODE
-
-    prefill_mlq = MultiLevelQueue(len(registry))
-    for inst in prefill_pool.values():
-        prefill_mlq.add(inst)
-    prefill_sched = ArloRequestScheduler(
-        registry=registry,
-        mlq=prefill_mlq,
-        config=scheme.dispatcher.scheduler.config,
-    )
-    if timeline is not None:
-        timeline.record(
-            0.0, "pool", "partition",
-            prefill=len(prefill_pool), decode=len(decode_pool),
-        )
-
-    #: instance_id -> _DecodeState for decode-pool instances.
-    states: dict[int, _DecodeState] = {}
-    #: instance_id -> FIFO of DecodeTasks in prefill (service order).
-    prefill_inflight: dict[int, deque] = {}
-    #: instance_id -> tasks whose KV transfer is in flight to it.
-    kv_inflight: dict[int, list] = {}
-    #: Per-instance tokens voiding in-flight PREFILL_DONE/KV_TRANSFER.
-    prefill_token: dict[int, int] = {}
-    kv_token: dict[int, int] = {}
-    #: gpu_id -> role a recovered instance should rejoin with.
-    pending_role: dict[int, str] = {}
-
-    DECODE_STEP = EventKind.DECODE_STEP
-    PREFILL_DONE = EventKind.PREFILL_DONE
-    KV_TRANSFER = EventKind.KV_TRANSFER
-
-    def flush_observations() -> None:
-        nonlocal observed_upto
-        if estimator is not None and observed_upto < next_arrival:
-            estimator.observe_batch(
-                arrivals_np[observed_upto:next_arrival],
-                prefill_np[observed_upto:next_arrival],
+        n_instances = len(ordered)
+        if n_instances < config.min_prefill + config.min_decode:
+            raise ConfigurationError(
+                f"{n_instances} instances cannot satisfy min_prefill="
+                f"{config.min_prefill} + min_decode={config.min_decode}"
             )
-            observed_upto = next_arrival
+        n_decode = int(round((1.0 - config.prefill_fraction) * n_instances))
+        n_decode = max(config.min_decode,
+                       min(n_decode, n_instances - config.min_prefill))
+        self.decode_pool: dict[int, RuntimeInstance] = {
+            inst.instance_id: inst for inst in ordered[:n_decode]
+        }
+        self.prefill_pool: dict[int, RuntimeInstance] = {
+            inst.instance_id: inst for inst in ordered[n_decode:]
+        }
+        self.roles: dict[int, str] = {}
+        for iid in self.prefill_pool:
+            self.roles[iid] = PREFILL
+        for iid in self.decode_pool:
+            self.roles[iid] = DECODE
+        super().__init__(MultiLevelQueue(len(registry)))
+        for inst in self.prefill_pool.values():
+            self.mlq.add(inst)
+        self.sched = ArloRequestScheduler(
+            registry=registry,
+            mlq=self.mlq,
+            config=scheme.dispatcher.scheduler.config,
+        )
+        #: instance_id -> FIFO of DecodeTasks in prefill (service order).
+        self.prefill_inflight: dict[int, deque] = {}
+        #: instance_id -> tasks whose KV transfer is in flight to it.
+        self.kv_inflight: dict[int, list] = {}
+        #: Per-instance tokens voiding in-flight PREFILL_DONE/KV_TRANSFER.
+        self.prefill_token: dict[int, int] = {}
+        self.kv_token: dict[int, int] = {}
+        #: gpu_id -> role a recovered instance should rejoin with.
+        self.pending_role: dict[int, str] = {}
+        self.prefill_completions = 0
+        self.kv_transfers = 0
+        self.kv_transfers_voided = 0
+        self.pool_flips = 0
+        if kernel.timeline is not None:
+            kernel.timeline.record(
+                0.0, "pool", "partition",
+                prefill=len(self.prefill_pool), decode=len(self.decode_pool),
+            )
 
-    def work_remaining() -> bool:
-        return (
-            next_arrival + 1 < n_requests
-            or outstanding > 0
-            or bool(deferred)
-            or pending_retries > 0
+    # -- prefill and handoff ------------------------------------------------
+    def start_prefill(self, inst: RuntimeInstance, finish_ms: float,
+                      task) -> None:
+        """Book a placed prompt's ``PREFILL_DONE``."""
+        iid = inst.instance_id
+        self.prefill_inflight.setdefault(iid, deque()).append(task)
+        self.kernel.queue.push(
+            finish_ms, EventKind.PREFILL_DONE,
+            (inst, self.prefill_token.get(iid, 0), task),
         )
 
-    def schedule_step(state: _DecodeState, now_ms: float) -> None:
-        nonlocal step_events
-        inst = state.instance
-        active = state.active
-        b = len(active)
-        k = chunk_steps
-        if k > 1:
-            remaining = min(t.decode_len - t.steps_done for t in active)
-            if remaining < k:
-                k = remaining
-        # No pending_prefill fold-in: the prefill pool already paid the
-        # prompt pass; the handoff priced the KV movement.
-        dur = k * (state.overhead_ms + state.per_seq_ms * b) * inst.slow_factor
-        state.step_k = k
-        state.step_dur = dur
-        state.stepping = True
-        step_events += 1
-        queue.push(now_ms + dur, DECODE_STEP, (state, state.token))
+    def finish_prefill(self, inst: RuntimeInstance, token: int,
+                       task) -> bool:
+        """Retire a prompt pass; False when a fault voided it."""
+        iid = inst.instance_id
+        if token != self.prefill_token.get(iid, 0):
+            return False
+        head_task = self.prefill_inflight[iid].popleft()
+        if head_task is not task:  # pragma: no cover - FIFO invariant
+            raise SchedulingError(
+                f"prefill completion order broke on instance {iid}"
+            )
+        inst.complete()
+        self.mlq.refresh(inst)
+        self.prefill_completions += 1
+        return True
 
-    def refill(state: _DecodeState) -> None:
-        nonlocal batch_joins
-        waiting = state.waiting
-        if not waiting:
-            return
-        active = state.active
-        if active and not continuous:
-            return  # gang scheduling
-        running = bool(active)
-        inst = state.instance
-        tracker = inst.tracker
-        while waiting and len(active) < max_batch:
-            task = waiting.popleft()
-            active.append(task)
-            if tracker is not None:
-                tracker.on_decode_start(inst)
-            if running:
-                batch_joins += 1
-
-    def pick_decode_target(exclude_id: int = -1) -> RuntimeInstance | None:
+    def pick_decode_target(self) -> RuntimeInstance | None:
         """Least-loaded live decode instance (ties: smallest id)."""
         best = None
-        for inst in decode_pool.values():
+        for inst in self.decode_pool.values():
             if inst.status is not InstanceStatus.ACTIVE:
-                continue
-            if inst.instance_id == exclude_id:
                 continue
             if best is None or (inst.outstanding, inst.instance_id) < (
                 best.outstanding, best.instance_id
@@ -379,161 +234,92 @@ def run_disagg_simulation(
                 best = inst
         return best
 
-    def start_transfer(now_ms: float, task) -> bool:
-        """Launch the KV handoff for a finished prefill. False when the
-        decode pool has no live instance (the caller reinjects)."""
-        nonlocal outstanding, kv_transfers
-        target = pick_decode_target()
-        if target is None:
-            return False
+    def start_transfer(self, now_ms: float, target: RuntimeInstance,
+                       task) -> None:
+        """Launch the KV handoff of a finished prefill to ``target``."""
         tid = target.instance_id
         target.outstanding += 1
         target._epoch += 1
         if target.tracker is not None:
             target.tracker.on_enqueue(target)
-        kv_inflight.setdefault(tid, []).append(task)
-        kv_transfers += 1
-        queue.push(
-            now_ms + transfer_per_token * task.prefill_len,
-            KV_TRANSFER,
-            (target, kv_token.get(tid, 0), task),
+        self.kv_inflight.setdefault(tid, []).append(task)
+        self.kv_transfers += 1
+        self.kernel.queue.push(
+            now_ms + self.config.transfer_ms_per_token * task.prefill_len,
+            EventKind.KV_TRANSFER,
+            (target, self.kv_token.get(tid, 0), task),
         )
-        return True
 
-    def admit(now_ms: float, request_id: int, attempt: int = 0) -> bool:
-        nonlocal outstanding
-        prefill = prefills[request_id]
-        arrival = arrivals_ms[request_id]
-        span = (
-            tracer.begin(now_ms, request_id, arrival, prefill, attempt)
-            if tracer is not None
-            else None
-        )
-        try:
-            decision, _start, finish = prefill_sched.dispatch(now_ms, prefill)
-        except CapacityError:
-            if span is not None:
-                tracer.on_defer(span, now_ms)
+    def land_transfer(self, target: RuntimeInstance, token: int,
+                      task) -> bool:
+        """A handoff arrived; False when a fault voided it."""
+        tid = target.instance_id
+        if token != self.kv_token.get(tid, 0):
             return False
-        head = decision.instance
-        if span is not None:
-            tracer.on_dispatch(
-                span, now_ms, level=decision.level,
-                ideal_level=decision.ideal_level,
-                instance=f"i{head.instance_id}",
-                fallback=decision.fell_back,
-            )
-        outstanding += 1
-        task = acquire_decode_task(
-            request_id, arrival, prefill, decode_lens[request_id], attempt
-        )
-        prefill_inflight.setdefault(head.instance_id, deque()).append(task)
-        queue.push(
-            finish, PREFILL_DONE,
-            (head, prefill_token.get(head.instance_id, 0), task),
-        )
+        self.kv_inflight[tid].remove(task)
         return True
 
-    def reinject(now_ms: float, request_id: int, attempt: int) -> None:
-        nonlocal retries_scheduled, pending_retries
-        if (
-            retry_policy is not None
-            and attempt < retry_policy.max_attempts
-            and retry_budget.try_consume()
-        ):
-            delay = retry_policy.delay_ms(attempt, retry_rng)
-            queue.push(
-                now_ms + delay,
-                EventKind.INSTANCE_FAILURE,
-                RetryPayload(request_id, arrivals_ms[request_id],
-                             prefills[request_id], attempt + 1),
-            )
-            retries_scheduled += 1
-            pending_retries += 1
-            if tracer is not None:
-                span = tracer.active.get(request_id)
-                if span is not None:
-                    tracer.on_retry(span, now_ms, attempt + 1, delay)
-        elif not admit(now_ms, request_id, attempt):
-            deferred.append((request_id, attempt))
-
-    def flush_deferred(now_ms: float) -> None:
-        if not deferred:
-            return
-        still: list[tuple[int, int]] = []
-        for request_id, attempt in deferred:
-            if not admit(now_ms, request_id, attempt):
-                still.append((request_id, attempt))
-        deferred[:] = still
-
-    def sample_gpus(now_ms: float) -> None:
-        nonlocal last_gpu_count
-        count = scheme.cluster.num_gpus
-        if count != last_gpu_count:
-            metrics.sample_gpus(now_ms, count)
-            last_gpu_count = count
-
-    def pick_victim(rank: int) -> RuntimeInstance | None:
-        active = scheme.cluster.active_instances()
-        if not active:
-            return None
-        ordered = sorted(active, key=lambda i: (-i.outstanding,
-                                                i.instance_id))
-        return ordered[min(rank, len(ordered) - 1)]
-
-    def void_instance(victim: RuntimeInstance) -> list:
+    # -- fault hooks ----------------------------------------------------------
+    def void(self, victim: RuntimeInstance) -> list:
         """Void a victim's live work (role-aware); returns its tasks.
 
-        Must run *before* ``crash_instance``/``suspend`` so the decode
-        occupancy counters reconcile while the tracker still counts
-        the instance. Prefill victims lose their queued prompts;
-        decode victims lose waiting + active batches *and* in-flight
-        KV transfers (token bumps void the scheduled events).
+        Prefill victims lose their queued prompts; decode victims lose
+        waiting + active batches *and* in-flight KV transfers (token
+        bumps void the scheduled events).
         """
-        nonlocal kv_transfers_voided
         vid = victim.instance_id
-        if roles.get(vid) == PREFILL:
-            prefill_token[vid] = prefill_token.get(vid, 0) + 1
-            fifo = prefill_inflight.pop(vid, None)
+        if self.roles.get(vid) == PREFILL:
+            self.prefill_token[vid] = self.prefill_token.get(vid, 0) + 1
+            fifo = self.prefill_inflight.pop(vid, None)
             return list(fifo) if fifo else []
         tasks: list = []
-        state = states.pop(vid, None)
+        state = self.states.pop(vid, None)
         if state is not None:
-            if victim.tracker is not None and state.active:
-                victim.tracker.on_decode_loss(victim, len(state.active))
-            tasks.extend(state.active)
-            tasks.extend(state.waiting)
-            state.token += 1
-            state.active.clear()
-            state.waiting.clear()
-            state.stepping = False
-        kv_token[vid] = kv_token.get(vid, 0) + 1
-        transfers = kv_inflight.pop(vid, None)
+            tasks.extend(state.void())
+        self.kv_token[vid] = self.kv_token.get(vid, 0) + 1
+        transfers = self.kv_inflight.pop(vid, None)
         if transfers:
-            kv_transfers_voided += len(transfers)
+            self.kv_transfers_voided += len(transfers)
             tasks.extend(transfers)
         return tasks
 
-    def reinject_tasks(now_ms: float, tasks: list) -> None:
-        nonlocal outstanding
-        outstanding -= len(tasks)
-        for task in tasks:
-            reinject(now_ms, task.request_id, task.attempt)
-            release_decode_task(task)
+    def role_detail(self, instance_id: int) -> dict:
+        return {"role": self.roles.get(instance_id, PREFILL)}
 
-    def drop_from_pools(vid: int) -> None:
-        prefill_pool.pop(vid, None)
-        decode_pool.pop(vid, None)
-        roles.pop(vid, None)
+    def on_recovered(self, instance: RuntimeInstance, gpu_id: int) -> dict:
+        role = self.pending_role.pop(gpu_id, PREFILL)
+        iid = instance.instance_id
+        self.roles[iid] = role
+        if role == PREFILL:
+            self.prefill_pool[iid] = instance
+            self.mlq.add(instance)
+        else:
+            self.decode_pool[iid] = instance
+        return {"role": role}
 
-    def rebalance(now_ms: float) -> None:
+    def on_resumed(self, instance: RuntimeInstance) -> None:
+        if self.roles.get(instance.instance_id) == PREFILL:
+            super().on_resumed(instance)
+
+    def on_crashed(self, instance_id: int, gpu_id: int,
+                   recovering: bool) -> None:
+        role = self.roles.pop(instance_id, PREFILL)
+        self.prefill_pool.pop(instance_id, None)
+        self.decode_pool.pop(instance_id, None)
+        if recovering:
+            self.pending_role[gpu_id] = role
+
+    # -- rebalancing ----------------------------------------------------------
+    def rebalance(self, now_ms: float) -> None:
         """One period of the coupled split + adaptive role migration."""
-        nonlocal pool_flips
-        if runtime_scheduler is None:
-            return
-        flush_observations()
+        config = self.config
+        kernel = self.kernel
+        runtime_scheduler = kernel.runtime_scheduler
+        timeline = kernel.timeline
+        prefill_pool = self.prefill_pool
+        decode_pool = self.decode_pool
         total = len(prefill_pool) + len(decode_pool)
-        if total < disagg.min_prefill + disagg.min_decode:
+        if total < config.min_prefill + config.min_decode:
             return
         decode_occ = sum(
             inst.outstanding for inst in decode_pool.values()
@@ -542,8 +328,8 @@ def run_disagg_simulation(
             outcome = runtime_scheduler.decide_pool_split(
                 now_ms, total,
                 decode_occupancy=float(decode_occ),
-                decode_slots_per_gpu=float(max_batch),
-                split_config=disagg.split_config(),
+                decode_slots_per_gpu=float(self.max_batch),
+                split_config=config.split_config(),
             )
         except SolverError:
             runtime_scheduler.solver_fallbacks += 1
@@ -565,13 +351,14 @@ def run_disagg_simulation(
                 objective=split.prefill_objective,
                 provenance=provenance,
             )
-        if not disagg.rebalance:
+        if not config.rebalance:
             return
         delta = split.decode_gpus - len(decode_pool)
-        budget = disagg.max_flips_per_period
+        budget = config.max_flips_per_period
         if delta > 0:
             # Prefill → decode: flip idle prompt servers, shortest
             # runtimes first, never the last top-runtime cover.
+            top_level = self.top_level
             top_cover = sum(
                 1 for inst in prefill_pool.values()
                 if inst.runtime_index == top_level
@@ -588,26 +375,17 @@ def run_disagg_simulation(
             for inst in candidates:
                 if delta <= 0 or budget <= 0:
                     break
-                if len(prefill_pool) <= disagg.min_prefill:
+                if len(prefill_pool) <= config.min_prefill:
                     break
                 if inst.runtime_index == top_level and top_cover <= 1:
                     continue
                 if inst.runtime_index == top_level:
                     top_cover -= 1
-                if prefill_mlq.contains(inst):
-                    prefill_mlq.remove(inst)
-                vid = inst.instance_id
-                del prefill_pool[vid]
-                decode_pool[vid] = inst
-                roles[vid] = DECODE
-                pool_flips += 1
+                if self.mlq.contains(inst):
+                    self.mlq.remove(inst)
+                self._flip(now_ms, inst, prefill_pool, decode_pool, DECODE)
                 delta -= 1
                 budget -= 1
-                if timeline is not None:
-                    timeline.record(
-                        now_ms, "pool", "flip", instance=vid,
-                        from_role=PREFILL, to_role=DECODE,
-                    )
         elif delta < 0:
             # Decode → prefill: idle decoders only (no batch, no
             # waiting queue, no in-flight transfer), longest first.
@@ -622,368 +400,40 @@ def run_disagg_simulation(
             for inst in candidates:
                 if delta >= 0 or budget <= 0:
                     break
-                if len(decode_pool) <= disagg.min_decode:
+                if len(decode_pool) <= config.min_decode:
                     break
-                vid = inst.instance_id
-                states.pop(vid, None)
-                del decode_pool[vid]
-                prefill_pool[vid] = inst
-                roles[vid] = PREFILL
-                prefill_mlq.add(inst)
-                pool_flips += 1
+                self.states.pop(inst.instance_id, None)
+                self._flip(now_ms, inst, decode_pool, prefill_pool, PREFILL)
+                self.mlq.add(inst)
                 delta += 1
                 budget -= 1
-                if timeline is not None:
-                    timeline.record(
-                        now_ms, "pool", "flip", instance=vid,
-                        from_role=DECODE, to_role=PREFILL,
-                    )
-            flush_deferred(now_ms)
+            kernel.flush_deferred(now_ms)
 
-    if runtime_scheduler is not None:
-        queue.push(runtime_scheduler.config.period_ms, EventKind.RESCHEDULE)
-    if config.failures is not None:
-        for fault in config.failures.sorted_events():
-            queue.push(fault.time_ms, EventKind.INSTANCE_FAILURE, fault)
-
-    heap = queue._heap
-    INF = float("inf")
-    RESCHEDULE = EventKind.RESCHEDULE
-    INSTANCE_FAILURE = EventKind.INSTANCE_FAILURE
-
-    popped = queue._popped
-    while True:
-        if max_events and popped + next_arrival >= max_events:
-            raise SimulationError(
-                f"event cap {max_events} hit with work remaining"
+    def _flip(self, now_ms: float, inst: RuntimeInstance, source: dict,
+              target: dict, role: str) -> None:
+        vid = inst.instance_id
+        del source[vid]
+        target[vid] = inst
+        self.roles[vid] = role
+        self.pool_flips += 1
+        if self.kernel.timeline is not None:
+            self.kernel.timeline.record(
+                now_ms, "pool", "flip", instance=vid,
+                from_role=DECODE if role == PREFILL else PREFILL,
+                to_role=role,
             )
-        heap_time = heap[0][0] if heap else INF
 
-        if next_arrival < n_requests and arrivals_ms[next_arrival] < heap_time:
-            now = arrivals_ms[next_arrival]
-            request_id = next_arrival
-            next_arrival = request_id + 1
-            queue._now = now
-            if not admit(now, request_id):
-                deferred.append((request_id, 0))
-                metrics.deferred_requests += 1
-            continue
-        if not heap:
-            break
+    # -- stats ----------------------------------------------------------------
+    def sizes(self) -> dict[str, int]:
+        return {
+            "prefill_pool_size": len(self.prefill_pool),
+            "decode_pool_size": len(self.decode_pool),
+        }
 
-        entry = heappop(heap)
-        now = entry[0]
-        kind = entry[1]
-        queue._now = now
-        popped += 1
-
-        if kind is DECODE_STEP:
-            state, token = entry[3]
-            if token != state.token:
-                continue  # voided by a crash/blackout
-            state.stepping = False
-            inst = state.instance
-            k = state.step_k
-            dur = state.step_dur
-            active = state.active
-            decode_steps_total += k * len(active)
-            batch_size = len(active)
-            survivors: list = []
-            for task in active:
-                task.steps_done += k
-                task.service_ms += dur
-                if task.awaiting_first:
-                    task.awaiting_first = False
-                    first_ms = now - task.arrival_ms
-                    if task.arrival_ms >= warmup_ms:
-                        ttft.add(first_ms)
-                    if tracer is not None:
-                        span = tracer.active.get(task.request_id)
-                        if span is not None:
-                            tracer.on_first_token(span, now, first_ms,
-                                                  batch_size)
-                if task.steps_done < task.decode_len:
-                    survivors.append(task)
-                    continue
-                # --- final decode step: the request completes ---
-                out = inst.outstanding - 1
-                if out < 0:
-                    raise SchedulingError(
-                        f"instance {inst.instance_id} completed with "
-                        f"empty queue"
-                    )
-                inst.outstanding = out
-                inst.served += 1
-                inst._epoch += 1
-                tracker = inst.tracker
-                if tracker is not None:
-                    tracker.on_complete(inst)
-                    tracker.on_decode_end(inst)
-                outstanding -= 1
-                completed += 1
-                if task.arrival_ms >= warmup_ms:
-                    metrics.record(now - task.arrival_ms,
-                                   inst.runtime_index)
-                    tpot.add(task.service_ms / task.decode_len)
-                if tracer is not None:
-                    tracer.on_complete(task.request_id, now,
-                                       task.service_ms,
-                                       decode_steps=task.decode_len)
-                release_decode_task(task)
-            state.active = survivors
-            if inst.status is not InstanceStatus.RETIRED:
-                refill(state)
-                if state.active:
-                    schedule_step(state, now)
-
-        elif kind is PREFILL_DONE:
-            inst, token, task = entry[3]
-            iid = inst.instance_id
-            if token != prefill_token.get(iid, 0):
-                continue  # voided: the task was already reinjected
-            fifo = prefill_inflight[iid]
-            head_task = fifo.popleft()
-            if head_task is not task:  # pragma: no cover - FIFO invariant
-                raise SchedulingError(
-                    f"prefill completion order broke on instance {iid}"
-                )
-            inst.complete()
-            prefill_mlq.refresh(inst)
-            prefill_completions += 1
-            if not start_transfer(now, task):
-                # Decode pool momentarily empty (crashed away): the
-                # request redoes prefill through the retry path.
-                reinject_tasks(now, [task])
-            if deferred:
-                flush_deferred(now)
-
-        elif kind is KV_TRANSFER:
-            target, token, task = entry[3]
-            tid = target.instance_id
-            if token != kv_token.get(tid, 0):
-                continue  # voided: the task was already reinjected
-            kv_inflight[tid].remove(task)
-            state = states.get(tid)
-            if state is None:
-                state = states[tid] = _DecodeState(target)
-            state.waiting.append(task)
-            if not state.stepping:
-                refill(state)
-                if state.active:
-                    schedule_step(state, now)
-
-        elif kind is RESCHEDULE:
-            if runtime_scheduler is not None and work_remaining():
-                rebalance(now)
-                metrics.sample_allocation(now, scheme.cluster.allocation())
-                queue.push(
-                    now + runtime_scheduler.config.period_ms,
-                    EventKind.RESCHEDULE,
-                )
-
-        elif kind is INSTANCE_FAILURE:
-            payload = entry[3]
-
-            if isinstance(payload, RecoveryPayload):
-                gpu = scheme.cluster.gpus[payload.gpu_id]
-                recovered = scheme.cluster.deploy(payload.runtime_index, gpu)
-                role = pending_role.pop(payload.gpu_id, PREFILL)
-                roles[recovered.instance_id] = role
-                if role == PREFILL:
-                    prefill_pool[recovered.instance_id] = recovered
-                    prefill_mlq.add(recovered)
-                else:
-                    decode_pool[recovered.instance_id] = recovered
-                if timeline is not None:
-                    timeline.record(
-                        now, "fault", "recovery",
-                        instance=recovered.instance_id,
-                        runtime_index=payload.runtime_index,
-                        role=role,
-                    )
-                flush_deferred(now)
-
-            elif isinstance(payload, RetryPayload):
-                pending_retries -= 1
-                if not admit(now, payload.request_id, payload.attempt):
-                    deferred.append((payload.request_id, payload.attempt))
-
-            elif isinstance(payload, SlowdownEvent):
-                victim = pick_victim(payload.victim_rank)
-                if victim is not None:
-                    victim.slow_factor = payload.factor
-                    slowdowns_injected += 1
-                    if timeline is not None:
-                        timeline.record(
-                            now, "fault", "slowdown",
-                            instance=victim.instance_id,
-                            factor=payload.factor,
-                        )
-                    if payload.duration_ms is not None:
-                        queue.push(
-                            now + payload.duration_ms,
-                            EventKind.INSTANCE_FAILURE,
-                            SlowdownEndPayload(victim.instance_id),
-                        )
-
-            elif isinstance(payload, SlowdownEndPayload):
-                inst = scheme.cluster.instances.get(payload.instance_id)
-                if inst is not None:
-                    inst.slow_factor = 1.0
-
-            elif isinstance(payload, BlackoutEvent):
-                victim = pick_victim(payload.victim_rank)
-                if victim is not None:
-                    lost_tasks = void_instance(victim)
-                    if prefill_mlq.contains(victim):
-                        prefill_mlq.remove(victim)
-                    victim.suspend()
-                    blackouts_injected += 1
-                    timeouts += len(lost_tasks)
-                    if timeline is not None:
-                        timeline.record(
-                            now, "fault", "blackout",
-                            instance=victim.instance_id,
-                            role=roles.get(victim.instance_id),
-                            duration_ms=payload.duration_ms,
-                            voided=len(lost_tasks),
-                        )
-                    reinject_tasks(now, lost_tasks)
-                    queue.push(
-                        now + payload.duration_ms,
-                        EventKind.INSTANCE_FAILURE,
-                        BlackoutEndPayload(victim.instance_id),
-                    )
-
-            elif isinstance(payload, BlackoutEndPayload):
-                inst = scheme.cluster.instances.get(payload.instance_id)
-                if inst is not None and inst.status is InstanceStatus.SUSPENDED:
-                    inst.resume()
-                    if (
-                        roles.get(inst.instance_id) == PREFILL
-                        and not prefill_mlq.contains(inst)
-                    ):
-                        prefill_mlq.add(inst)
-                    flush_deferred(now)
-
-            elif isinstance(payload, SolverFaultEvent):
-                if runtime_scheduler is not None:
-                    runtime_scheduler.inject_solver_failures(payload.count)
-                    solver_faults_injected += payload.count
-                    if timeline is not None:
-                        timeline.record(
-                            now, "fault", "solver_fault",
-                            count=payload.count,
-                        )
-
-            elif isinstance(payload, FailureEvent):
-                victim = pick_victim(payload.victim_rank)
-                if victim is None:
-                    continue
-                role = roles.get(victim.instance_id, PREFILL)
-                lost_tasks = void_instance(victim)
-                if prefill_mlq.contains(victim):
-                    prefill_mlq.remove(victim)
-                gpu, lost = scheme.cluster.crash_instance(victim)
-                drop_from_pools(victim.instance_id)
-                failures_injected += 1
-                requests_lost += lost
-                if timeline is not None:
-                    timeline.record(
-                        now, "fault", "crash",
-                        instance=victim.instance_id,
-                        role=role,
-                        voided=len(lost_tasks),
-                        recovery_ms=(
-                            payload.recovery_ms
-                            if payload.recovery_ms is not None
-                            else -1.0
-                        ),
-                    )
-                if payload.recovery_ms is not None:
-                    pending_role[gpu.gpu_id] = role
-                    queue.push(
-                        now + payload.recovery_ms,
-                        EventKind.INSTANCE_FAILURE,
-                        RecoveryPayload(gpu_id=gpu.gpu_id,
-                                        runtime_index=victim.runtime_index),
-                    )
-                else:
-                    scheme.cluster.release_gpu(gpu.gpu_id, now)
-                    sample_gpus(now)
-                reinject_tasks(now, lost_tasks)
-
-            else:
-                raise SimulationError(
-                    f"unhandled fault payload {payload!r}"
-                )
-
-        else:  # pragma: no cover - the enum is closed on this path
-            raise SimulationError(f"unhandled event kind {kind}")
-
-    queue._popped = popped
-    flush_observations()
-    if completed != n_requests:
-        raise SimulationError(
-            f"simulation ended with {n_requests - completed} unserved "
-            f"requests"
-        )
-
-    end_ms = queue.now_ms
-    control_stats = {
-        "replacements": 0,
-        "scale_outs": 0,
-        "scale_ins": 0,
-        "deferred": metrics.deferred_requests,
-        "failures": failures_injected,
-        "requests_lost": requests_lost,
-        "slowdowns": slowdowns_injected,
-        "blackouts": blackouts_injected,
-        "timeouts": timeouts,
-        "retries": retries_scheduled,
-        "retry_budget_exhausted": (
-            retry_budget.exhausted_events if retry_budget is not None else 0
-        ),
-        "quarantines": 0,
-        "breaker_trips": 0,
-        "breaker_recoveries": 0,
-        "quarantine_violations": 0,
-        "solver_faults_injected": solver_faults_injected,
-        "solver_fallbacks": (
-            runtime_scheduler.solver_fallbacks
-            if runtime_scheduler is not None
-            else 0
-        ),
-        # Generative + disagg counters: plain ints so shard merges sum.
-        "decode_steps": decode_steps_total,
-        "step_events": step_events,
-        "batch_joins": batch_joins,
-        "prefill_completions": prefill_completions,
-        "kv_transfers": kv_transfers,
-        "kv_transfers_voided": kv_transfers_voided,
-        "pool_flips": pool_flips,
-    }
-    dispatch_stats = prefill_sched.stats()
-    dispatch_stats["prefill_pool_size"] = len(prefill_pool)
-    dispatch_stats["decode_pool_size"] = len(decode_pool)
-    if ttft.count:
-        dispatch_stats["ttft_mean_ms"] = ttft.mean_ms
-        dispatch_stats["ttft_p50_ms"] = ttft.quantile(0.50)
-        dispatch_stats["ttft_p98_ms"] = ttft.quantile(0.98)
-    if tpot.count:
-        dispatch_stats["tpot_mean_ms"] = tpot.mean_ms
-        dispatch_stats["tpot_p50_ms"] = tpot.quantile(0.50)
-        dispatch_stats["tpot_p98_ms"] = tpot.quantile(0.98)
-    return SimulationResult(
-        scheme_name=scheme.name,
-        stats=metrics.stats(),
-        metrics=metrics,
-        end_ms=end_ms,
-        events_processed=queue.events_processed + next_arrival,
-        time_weighted_gpus=metrics.time_weighted_gpus(end_ms),
-        dispatch_stats=dispatch_stats,
-        control_stats=control_stats,
-        spans=tracer.finished if tracer is not None else [],
-        timeline=timeline,
-        wall_s=perf_counter() - wall_start,
-    )
+    def stats(self) -> dict[str, int]:
+        return {
+            "prefill_completions": self.prefill_completions,
+            "kv_transfers": self.kv_transfers,
+            "kv_transfers_voided": self.kv_transfers_voided,
+            "pool_flips": self.pool_flips,
+        }

@@ -239,6 +239,12 @@ def test_disagg_config_validation():
         DisaggConfig(min_decode=0)
 
 
+def test_generative_config_rejects_untyped_disagg():
+    # Used to construct and fail only inside the run.
+    with pytest.raises(ConfigurationError, match="DisaggConfig"):
+        GenerativeConfig(disagg="yes")
+
+
 def test_disagg_requires_generative_trace_and_arlo():
     from repro.workload.twitter import TwitterTraceConfig, generate_twitter_trace
 

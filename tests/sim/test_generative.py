@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.baselines.schemes import build_scheme
+from repro.cluster.autoscaler import AutoscalerConfig
 from repro.core.runtime_scheduler import RuntimeSchedulerConfig
 from repro.errors import ConfigurationError
 from repro.obs.exporters import write_spans_jsonl
@@ -229,6 +230,28 @@ def test_generative_requires_generative_trace_and_clean_control_plane():
         GenerativeConfig(max_batch=0)
     with pytest.raises(ConfigurationError):
         GenerativeConfig(chunk_steps=0)
+
+
+def test_generative_config_rejects_decision_logging():
+    # trace_decisions logs discriminative dispatches only: a generative
+    # run used to accept it and return an empty decision_log.
+    with pytest.raises(ConfigurationError, match="trace_decisions"):
+        SimulationConfig(generative=GenerativeConfig(), trace_decisions=50)
+
+
+def test_generative_config_rejects_autoscaler():
+    with pytest.raises(ConfigurationError, match="autoscaler"):
+        SimulationConfig(
+            generative=GenerativeConfig(),
+            enable_autoscaler=True,
+            autoscaler=AutoscalerConfig(slo_ms=150.0),
+        )
+
+
+def test_generative_config_rejects_resilience_manager():
+    with pytest.raises(ConfigurationError, match="resilience"):
+        SimulationConfig(generative=GenerativeConfig(),
+                         resilience=ResilienceConfig())
 
 
 def test_discriminative_path_untouched_when_generative_off():
