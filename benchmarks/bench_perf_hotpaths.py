@@ -866,25 +866,39 @@ def compare_to_baseline(
     A metric regresses when it is worse than the committed baseline by
     more than ``max_regression`` (fractional — 0.25 means 25 %).
     Metrics absent from either side are skipped (schema evolution must
-    not hard-fail the gate).
+    not hard-fail the gate), and so are the spatial-sharding metrics
+    when the two runs used different execution modes. Every skipped
+    gate prints one ``skipped <metric>: <reason>`` line, so a gate that
+    never runs is visible in the log.
     """
     failures = []
     cur_exec = _dig_str(current, ("simulation_scale_spatial", "execution"))
     base_exec = _dig_str(baseline, ("simulation_scale_spatial", "execution"))
     for path, direction, tolerance in _GATED_METRICS:
+        name = ".".join(path)
         if path[0] == "simulation_scale_spatial" and cur_exec != base_exec:
             # Pool (one core per shard) and sequential-inline (one core
             # total) walls measure different things; comparing them
             # would flag a phantom 4x regression on a smaller machine.
+            print(f"skipped {name}: execution {cur_exec} differs from "
+                  f"the baseline's {base_exec}")
             continue
         cur, base = _dig(current, path), _dig(baseline, path)
-        if cur is None or base is None or base <= 0:
+        if cur is None or base is None:
+            side = ("baseline" if cur is not None
+                    else "current run" if base is not None
+                    else "current run and the baseline")
+            print(f"skipped {name}: missing in the {side}")
+            continue
+        if base <= 0:
+            print(f"skipped {name}: baseline value {base:.4g} is not "
+                  f"positive")
             continue
         allowed = max_regression if tolerance is None else tolerance
         ratio = cur / base if direction == "lower" else base / cur
         if ratio > 1.0 + allowed:
             failures.append(
-                f"{'.'.join(path)}: {cur:.4g} vs baseline {base:.4g} "
+                f"{name}: {cur:.4g} vs baseline {base:.4g} "
                 f"({(ratio - 1.0) * 100:.1f}% worse, "
                 f"tolerance {allowed * 100:.0f}%)"
             )

@@ -22,7 +22,7 @@ Strategies (paper §5):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.instance import RuntimeInstance
 from repro.core.mlq import MultiLevelQueue
@@ -49,16 +49,6 @@ class Dispatcher(ABC):
 
     def _after_enqueue(self, instance: RuntimeInstance) -> None:
         """Hook for refreshing priority structures."""
-
-    def dispatch_fast(
-        self, now_ms: float, length: int
-    ) -> tuple[RuntimeInstance, float, float]:
-        """Hot-path dispatch; identical decisions to :meth:`dispatch`.
-
-        Policies with a cheaper allocation-free path override this; the
-        default simply delegates.
-        """
-        return self.dispatch(now_ms, length)
 
     def on_complete(self, instance: RuntimeInstance) -> None:
         """Hook invoked by the simulator after ``instance.complete()``."""
@@ -193,20 +183,9 @@ class ArloDispatcher(Dispatcher):
     """Adapter exposing Algorithm 1 through the common interface."""
 
     scheduler: ArloRequestScheduler
-    last_decision: object = field(default=None, init=False)
 
     def select(self, length: int) -> RuntimeInstance:
-        decision = self.scheduler.select(length)
-        self.last_decision = decision
-        return decision.instance
-
-    def dispatch_fast(
-        self, now_ms: float, length: int
-    ) -> tuple[RuntimeInstance, float, float]:
-        # Same Algorithm-1 walk and counters, minus the DispatchDecision
-        # record (`last_decision` stays untouched — tracing callers use
-        # `dispatch`).
-        return self.scheduler.dispatch_fast(now_ms, length)
+        return self.scheduler.select(length).instance
 
     def _after_enqueue(self, instance: RuntimeInstance) -> None:
         self.scheduler.mlq.refresh(instance)

@@ -86,15 +86,27 @@ class ArloRequestScheduler:
         self._max_peek = self.config.max_peek_levels
 
     def _walk(
-        self, length: int
+        self,
+        length: int,
+        probes: list[tuple[int, float, float, str]] | None = None,
     ) -> tuple[RuntimeInstance, int, int, int, bool]:
-        """Algorithm 1's candidate walk, shared by both dispatch paths.
+        """Algorithm 1's candidate walk — the one every entry point runs.
 
         Returns ``(instance, level, ideal, peeked, fell_back)`` without
-        allocating a decision object. Levels that currently have no
-        instances are skipped without consuming a peek or decaying the
-        threshold (there is nothing to evaluate); the paper's cluster
-        always has a populated top level thanks to Eq. 7.
+        allocating a decision object, and counts the dispatch in
+        ``dispatched``/``demotions``/``fallbacks``/``gated``. Levels
+        that currently have no instances are skipped without consuming
+        a peek or decaying the threshold (there is nothing to
+        evaluate); the paper's cluster always has a populated top level
+        thanks to Eq. 7.
+
+        When ``probes`` is a list, the walk is narrated into it: one
+        ``(level, P, threshold, verdict)`` tuple per evaluated head,
+        verdicts ``accepted`` / ``rejected`` / ``gated``. The tracer
+        passes one for sampled requests only.
+
+        ``InstanceHeap.head`` is inlined: the walk runs once per
+        simulated request and each call layer is measurable.
         """
         ideal = self.registry.ideal_index(length)  # candidates ascend from here
         levels = self.mlq.levels
@@ -107,167 +119,7 @@ class ArloRequestScheduler:
         first_nonempty: RuntimeInstance | None = None
         first_level = -1
         level = ideal
-        while level < num_levels:
-            if peeked >= max_peek:
-                break
-            head = levels[level].head()
-            if head is not None:
-                if gate is not None and not gate(head):
-                    self.gated += 1
-                    level += 1
-                    continue
-                if first_nonempty is None:
-                    first_nonempty = head
-                    first_level = level
-                peeked += 1
-                # head.congestion() < lam, with the division inlined
-                # (identical float arithmetic, no method call).
-                if head.outstanding / head._capacity < lam:
-                    return head, level, ideal, peeked, False
-                lam *= alpha
-            level += 1
-        if first_nonempty is None:
-            raise CapacityError(
-                f"no deployed runtime can serve a request of length {length}"
-            )
-        return first_nonempty, first_level, ideal, peeked, True
-
-    def select(self, length: int) -> DispatchDecision:
-        """Algorithm 1: pick the runtime instance for one request."""
-        head, level, ideal, peeked, fell_back = self._walk(length)
-        return self._done(head, level, ideal, peeked, fell_back=fell_back)
-
-    def _done(
-        self,
-        instance: RuntimeInstance,
-        level: int,
-        ideal: int,
-        peeked: int,
-        fell_back: bool,
-    ) -> DispatchDecision:
-        self.dispatched += 1
-        if level > ideal:
-            self.demotions += 1
-        if fell_back:
-            self.fallbacks += 1
-        return DispatchDecision(
-            instance=instance,
-            level=level,
-            ideal_level=ideal,
-            levels_peeked=peeked,
-            fell_back=fell_back,
-        )
-
-    def dispatch(self, now_ms: float, length: int) -> tuple[DispatchDecision, float, float]:
-        """Select, enqueue, and refresh the queue (Algorithm 1 lines 21–22).
-
-        Returns (decision, service start, completion time).
-        """
-        decision = self.select(length)
-        start, finish = decision.instance.enqueue(now_ms, length)
-        self.mlq.refresh(decision.instance)
-        return decision, start, finish
-
-    def dispatch_traced(
-        self,
-        now_ms: float,
-        length: int,
-        probes: list[tuple[int, float, float, str]],
-    ) -> tuple[DispatchDecision, float, float]:
-        """:meth:`dispatch` with the candidate walk narrated into
-        ``probes`` — one ``(level, P, threshold, verdict)`` tuple per
-        evaluated level, verdicts ``accepted`` / ``rejected`` /
-        ``gated``.
-
-        This is the sampled-request path of the observability layer:
-        only requests the tracer selected pay for it, so it stays a
-        faithful (non-inlined) mirror of :meth:`_walk` — counters and
-        the chosen instance are identical to the fast path.
-        """
-        ideal = self.registry.ideal_index(length)
-        levels = self.mlq.levels
-        num_levels = len(levels)
-        gate = self.gate
-        lam = self._lam
-        alpha = self._alpha
-        max_peek = self._max_peek
-        peeked = 0
-        first_nonempty: RuntimeInstance | None = None
-        first_level = -1
-        chosen: RuntimeInstance | None = None
-        chosen_level = -1
-        level = ideal
-        while level < num_levels:
-            if peeked >= max_peek:
-                break
-            head = levels[level].head()
-            if head is not None:
-                p = head.outstanding / head._capacity
-                if gate is not None and not gate(head):
-                    self.gated += 1
-                    probes.append((level, p, lam, "gated"))
-                    level += 1
-                    continue
-                if first_nonempty is None:
-                    first_nonempty = head
-                    first_level = level
-                peeked += 1
-                if p < lam:
-                    probes.append((level, p, lam, "accepted"))
-                    chosen, chosen_level = head, level
-                    break
-                probes.append((level, p, lam, "rejected"))
-                lam *= alpha
-            level += 1
-        fell_back = chosen is None
-        if fell_back:
-            if first_nonempty is None:
-                raise CapacityError(
-                    f"no deployed runtime can serve a request of length "
-                    f"{length}"
-                )
-            chosen, chosen_level = first_nonempty, first_level
-        decision = self._done(
-            chosen, chosen_level, ideal, peeked, fell_back=fell_back
-        )
-        start, finish = chosen.enqueue(now_ms, length)
-        self.mlq.refresh(chosen)
-        return decision, start, finish
-
-    def dispatch_fast(
-        self, now_ms: float, length: int
-    ) -> tuple[RuntimeInstance, float, float]:
-        """Hot-path dispatch: Algorithm 1 without materialising a
-        :class:`DispatchDecision` (the simulator calls this once per
-        arrival; counters stay exact).
-
-        The candidate walk is a hand-fused copy of :meth:`_walk` with
-        ``InstanceHeap.head``, ``RuntimeInstance.enqueue``, and
-        ``InstanceHeap.refresh`` inlined — this method runs once per
-        simulated request and each call layer is measurable. The
-        enqueue validation is provably redundant here: ``ideal_index``
-        rejects non-positive and oversized lengths, every level ≥ ideal
-        fits the request, and ``head`` only yields ACTIVE members. Any
-        behavioural change must be mirrored in the originals (the
-        serial/sharded equivalence tests catch divergence).
-
-        Returns (instance, service start, completion time).
-        """
-        ideal = self.registry.ideal_index(length)
-        levels = self.mlq.levels
-        num_levels = len(levels)
-        gate = self.gate
-        lam = self._lam
-        alpha = self._alpha
-        max_peek = self._max_peek
-        peeked = 0
-        first_nonempty: RuntimeInstance | None = None
-        first_level = -1
-        level = ideal
-        head = None
-        while level < num_levels:
-            if peeked >= max_peek:
-                break
+        while level < num_levels and peeked < max_peek:
             # --- InstanceHeap.head, inlined (lazy stale-entry discard)
             level_heap = levels[level]
             members = level_heap._members
@@ -286,32 +138,78 @@ class ArloRequestScheduler:
                         break
                     heappop(entry_heap)
             if head is not None:
+                # head.congestion(), with the division inlined
+                # (identical float arithmetic, no method call).
+                p = head.outstanding / head._capacity
                 if gate is not None and not gate(head):
                     self.gated += 1
-                    head = None
+                    if probes is not None:
+                        probes.append((level, p, lam, "gated"))
                     level += 1
                     continue
                 if first_nonempty is None:
                     first_nonempty = head
                     first_level = level
                 peeked += 1
-                if head.outstanding / head._capacity < lam:
-                    break
+                if p < lam:
+                    if probes is not None:
+                        probes.append((level, p, lam, "accepted"))
+                    self.dispatched += 1
+                    if level > ideal:
+                        self.demotions += 1
+                    return head, level, ideal, peeked, False
+                if probes is not None:
+                    probes.append((level, p, lam, "rejected"))
                 lam *= alpha
-            head = None
             level += 1
-        if head is None:
-            if first_nonempty is None:
-                raise CapacityError(
-                    f"no deployed runtime can serve a request of length "
-                    f"{length}"
-                )
-            head = first_nonempty
-            level = first_level
-            self.fallbacks += 1
+        if first_nonempty is None:
+            raise CapacityError(
+                f"no deployed runtime can serve a request of length {length}"
+            )
         self.dispatched += 1
-        if level > ideal:
+        self.fallbacks += 1
+        if first_level > ideal:
             self.demotions += 1
+        return first_nonempty, first_level, ideal, peeked, True
+
+    def select(self, length: int) -> DispatchDecision:
+        """Algorithm 1: pick the runtime instance for one request."""
+        return DispatchDecision(*self._walk(length))
+
+    def dispatch(
+        self,
+        now_ms: float,
+        length: int,
+        probes: list[tuple[int, float, float, str]] | None = None,
+    ) -> tuple[DispatchDecision, float, float]:
+        """Select, enqueue, and refresh the queue (Algorithm 1 lines 21–22).
+
+        ``probes`` collects the walk's narration (see :meth:`_walk`).
+        Returns (decision, service start, completion time).
+        """
+        decision = DispatchDecision(*self._walk(length, probes))
+        instance = decision.instance
+        start, finish = instance.enqueue(now_ms, length)
+        self.mlq.refresh(instance)
+        return decision, start, finish
+
+    def dispatch_fast(
+        self, now_ms: float, length: int
+    ) -> tuple[RuntimeInstance, float, float]:
+        """Hot-path dispatch: :meth:`dispatch` without materialising a
+        :class:`DispatchDecision` (the simulator calls this once per
+        arrival; counters stay exact).
+
+        ``RuntimeInstance.enqueue`` and ``InstanceHeap.refresh`` are
+        inlined. The enqueue validation is provably redundant here:
+        ``ideal_index`` rejects non-positive and oversized lengths,
+        every level ≥ ideal fits the request, and the walk only yields
+        ACTIVE heads. ``tests/core/test_algorithm1_differential.py``
+        checks this path against the reference walk.
+
+        Returns (instance, service start, completion time).
+        """
+        head, level, _ideal, _peeked, _fell_back = self._walk(length)
         # --- RuntimeInstance.enqueue, inlined (validation elided — see
         # docstring) ---
         service = head._service_table[length] * head.slow_factor
@@ -328,7 +226,7 @@ class ArloRequestScheduler:
         # --- InstanceHeap.refresh, inlined. The chosen instance is by
         # construction a member of its own level's heap, so both the
         # MultiLevelQueue level lookup and the membership test go away.
-        level_heap = levels[level]
+        level_heap = self.mlq.levels[level]
         last = level_heap._last_outstanding
         key = head.instance_id
         level_heap.outstanding_total += out - last[key]

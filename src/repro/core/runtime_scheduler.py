@@ -552,10 +552,14 @@ class RuntimeScheduler:
         """
         deployable = int(state.allocation().sum())
         if deployable < 1:
-            # A fleet-wide blackout: the suspended instances resume with
-            # their runtimes, so keep the current deployment.
-            if any(inst.status is InstanceStatus.SUSPENDED
-                   for inst in state.instances.values()):
+            # A fleet-wide outage the fleet comes back from: suspended
+            # instances resume with their runtimes, and a crashed
+            # instance whose GPU is still provisioned (free, unreleased)
+            # redeploys there on recovery. Keep the current deployment.
+            if state.free_gpus() or any(
+                inst.status is InstanceStatus.SUSPENDED
+                for inst in state.instances.values()
+            ):
                 return self._hold(now_ms, state, solver="hold")
             raise ConfigurationError("cluster has no active instances")
         if self.estimator.observed == 0:
@@ -588,7 +592,7 @@ class RuntimeScheduler:
     def _hold(
         self, now_ms: float, state: ClusterState, solver: str
     ) -> tuple[AllocationResult, ReplacementPlan]:
-        """Keep the current deployment (fleet-wide blackout, zero demand
+        """Keep the current deployment (fleet-wide outage, zero demand
         or solver failure)."""
         current = state.allocation()
         result = AllocationResult(

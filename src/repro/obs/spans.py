@@ -204,7 +204,9 @@ class RequestTracer:
         """Record the Algorithm-1 level walk.
 
         ``probes`` entries are ``(level, p, threshold, verdict)`` as
-        produced by ``ArloRequestScheduler.dispatch_traced``.
+        narrated by the candidate walk when ``ArloRequestScheduler.dispatch``
+        (or, in the co-located generative loop, ``_walk``) is given a
+        probe list.
         """
         events = span.events
         for level, p, threshold, verdict in probes:

@@ -49,11 +49,9 @@ topologies:
   needed). Lost requests re-enter through the same retry
   policy/budget; a re-dispatched request restarts from its prefill.
 
-Observability: sampled spans record ``admit``/``dispatch``/``defer``/
-``retry`` as usual, plus a ``first_token`` event (TTFT and the batch
-size that produced it) and ``decode_steps`` on ``complete``. The
-Algorithm-1 probe narration is not emitted on this path — the walk is
-shared with the fast dispatch and stays allocation-free.
+Observability: sampled spans record ``admit``/``probe``/``dispatch``/
+``defer``/``retry`` as usual, plus a ``first_token`` event (TTFT and
+the batch size that produced it) and ``decode_steps`` on ``complete``.
 
 Determinism: the loop is single-threaded over the same deterministic
 event queue; two runs of the same (trace, scheme, config) are
@@ -336,22 +334,20 @@ def run_generative_simulation(
             if tracer is not None
             else None
         )
+        probes = [] if span is not None else None
         try:
             if colocated:
-                head, level, ideal, _peeked, fell_back = walk(prefill)
+                head, level, ideal, _peeked, fell_back = walk(prefill, probes)
             else:
-                decision, _start, finish = pools.sched.dispatch(now_ms,
-                                                                prefill)
+                decision, _start, finish = pools.sched.dispatch(
+                    now_ms, prefill, probes
+                )
         except CapacityError:
             if span is not None:
+                tracer.on_probes(span, now_ms, probes)
                 tracer.on_defer(span, now_ms)
             return False
         if colocated:
-            scheduler.dispatched += 1
-            if level > ideal:
-                scheduler.demotions += 1
-            if fell_back:
-                scheduler.fallbacks += 1
             # Manual enqueue: no busy_until_ms service interval — the
             # decode loop owns timing. `outstanding` still counts the
             # request until its final decode step so congestion probes
@@ -368,6 +364,7 @@ def run_generative_simulation(
             ideal = decision.ideal_level
             fell_back = decision.fell_back
         if span is not None:
+            tracer.on_probes(span, now_ms, probes)
             tracer.on_dispatch(
                 span, now_ms, level=level, ideal_level=ideal,
                 instance=f"i{head.instance_id}", fallback=fell_back,

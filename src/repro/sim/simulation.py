@@ -179,25 +179,17 @@ def run_simulation(
     # fault plan no dispatch is ever voided, so the whole bookkeeping
     # layer (two dict writes + a deque append per request) is skipped.
     track_attempts = config.failures is not None
-    # The tracing path goes through `dispatch` so `last_decision` is
-    # populated; the default path takes the allocation-free fast lane
-    # (bound past the adapter when the scheme is Arlo-family).
-    if trace_decisions:
-        dispatch = dispatcher.dispatch
-    elif isinstance(dispatcher, ArloDispatcher):
+    # Arlo-family schemes bind past the adapter. Sampled requests and
+    # the first `trace_decisions` dispatches take the scheduler's
+    # `dispatch`, which returns the decision and narrates the walk into
+    # a probe list; every other request takes the allocation-free
+    # `dispatch_fast`.
+    if isinstance(dispatcher, ArloDispatcher):
         dispatch = dispatcher.scheduler.dispatch_fast
+        dispatch_decision = dispatcher.scheduler.dispatch
     else:
-        dispatch = dispatcher.dispatch_fast
-    # Sampled requests take the narrated Algorithm-1 walk when the
-    # scheme exposes one (Arlo family); baseline dispatchers keep their
-    # normal path and the span records only the dispatch itself.
-    traced_dispatch = (
-        dispatcher.scheduler.dispatch_traced
-        if tracer is not None
-        and not trace_decisions
-        and isinstance(dispatcher, ArloDispatcher)
-        else None
-    )
+        dispatch = dispatcher.dispatch
+        dispatch_decision = None
 
     decision_log: list[dict] = []
 
@@ -214,24 +206,40 @@ def run_simulation(
             if tracer is not None
             else None
         )
-        if span is not None and traced_dispatch is not None:
-            probes: list[tuple[int, float, float, str]] = []
+        if (
+            span is not None
+            or (trace_decisions and len(decision_log) < trace_decisions)
+        ) and dispatch_decision is not None:
+            probes = [] if span is not None else None
             try:
-                decision, start, finish = traced_dispatch(
+                decision, start, finish = dispatch_decision(
                     now_ms, length, probes
                 )
             except CapacityError:
-                tracer.on_probes(span, now_ms, probes)
-                tracer.on_defer(span, now_ms)
+                if span is not None:
+                    tracer.on_probes(span, now_ms, probes)
+                    tracer.on_defer(span, now_ms)
                 return False
             instance = decision.instance
-            tracer.on_probes(span, now_ms, probes)
-            tracer.on_dispatch(
-                span, now_ms, level=decision.level,
-                ideal_level=decision.ideal_level,
-                instance=f"i{instance.instance_id}",
-                fallback=decision.fell_back,
-            )
+            if span is not None:
+                tracer.on_probes(span, now_ms, probes)
+                tracer.on_dispatch(
+                    span, now_ms, level=decision.level,
+                    ideal_level=decision.ideal_level,
+                    instance=f"i{instance.instance_id}",
+                    fallback=decision.fell_back,
+                )
+            if len(decision_log) < trace_decisions:
+                decision_log.append({
+                    "time_ms": now_ms,
+                    "request_id": request_id,
+                    "length": length,
+                    "ideal_level": decision.ideal_level,
+                    "chosen_level": decision.level,
+                    "demoted": decision.demoted,
+                    "fell_back": decision.fell_back,
+                    "queue_depth": instance.outstanding - 1,
+                })
         else:
             try:
                 instance, start, finish = dispatch(now_ms, length)
@@ -244,19 +252,6 @@ def run_simulation(
                     span, now_ms, level=instance.runtime_index,
                     ideal_level=-1, instance=f"i{instance.instance_id}",
                 )
-        if trace_decisions and len(decision_log) < trace_decisions:
-            decision = getattr(dispatcher, "last_decision", None)
-            if decision is not None:
-                decision_log.append({
-                    "time_ms": now_ms,
-                    "request_id": request_id,
-                    "length": length,
-                    "ideal_level": decision.ideal_level,
-                    "chosen_level": decision.level,
-                    "demoted": decision.demoted,
-                    "fell_back": decision.fell_back,
-                    "queue_depth": instance.outstanding - 1,
-                })
         if manager is not None and manager.is_quarantined(instance.instance_id):
             quarantine_violations += 1
         outstanding += 1

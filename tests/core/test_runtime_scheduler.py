@@ -115,6 +115,24 @@ def test_step_requires_active_instances():
         scheduler.step(0.0, state)
 
 
+def test_step_holds_while_crashed_gpus_await_recovery():
+    # Every instance crashed but its GPU stays provisioned (a recovery
+    # is pending): the deployment is held instead of failing the run.
+    scheduler = make_scheduler()
+    feed(scheduler, [100])
+    state = ClusterState.bootstrap(REGISTRY, [1, 0, 0, 0, 0, 0, 0, 1])
+    for inst in list(state.instances.values()):
+        state.crash_instance(inst)
+    result, plan = scheduler.step(seconds(30), state)
+    assert result.solver == "hold"
+    assert plan.is_empty
+    # Once the GPUs are released nothing can come back.
+    for gpu in state.free_gpus():
+        state.release_gpu(gpu.gpu_id, seconds(30))
+    with pytest.raises(ConfigurationError):
+        scheduler.step(seconds(30), state)
+
+
 def test_zero_demand_holds_current_allocation():
     scheduler = make_scheduler()
     state = ClusterState.bootstrap(REGISTRY, [3, 2, 1, 1, 1, 0, 1, 1])

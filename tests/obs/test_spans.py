@@ -16,6 +16,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.simulation import SimulationConfig, run_simulation
 from repro.units import seconds
 from repro.workload.twitter import generate_twitter_trace
+from tests.obs.helpers import assert_walk_narrated
 
 
 def _chaos_run(sample_rate: float, scheme_name: str = "arlo"):
@@ -39,13 +40,14 @@ def test_span_count_matches_request_count_under_chaos():
     result = _chaos_run(1.0)
     assert len(result.spans) == result.stats.count
     assert all(s.final_phase == "complete" for s in result.spans)
-    # Every span carries the full life cycle: admission, a dispatch,
-    # and the terminal completion.
+    # Every span carries the full life cycle: admission, the narrated
+    # Algorithm 1 walk, a dispatch, and the terminal completion.
     for span in result.spans:
         phases = [e["phase"] for e in span.events]
         assert phases[0] == "admit"
         assert phases[-1] == "complete"
         assert "dispatch" in phases
+        assert assert_walk_narrated(span)
 
 
 def test_span_latencies_reconcile_with_metrics():
@@ -85,6 +87,31 @@ def test_baseline_scheme_spans_lack_probes_but_complete():
     assert all(
         e["phase"] != "probe" for s in result.spans for e in s.events
     )
+
+
+def test_decision_logging_keeps_probe_narration():
+    # Logging the first decisions must not take the walk narration
+    # away from sampled requests, inside or after the logging window.
+    trace = generate_twitter_trace(
+        rate_per_s=150.0, duration_ms=seconds(5), pattern="bursty", seed=9
+    )
+    scheme = build_scheme(
+        "arlo", "bert-large", 6, trace_hint=trace.slice_time(0, seconds(2)),
+    )
+    result = run_simulation(scheme, trace, SimulationConfig(
+        observability=ObservabilityConfig(sample_rate=1.0),
+        trace_decisions=100,
+    ))
+    assert len(result.decision_log) == 100
+    assert len(result.spans) == len(trace)
+    assert all(assert_walk_narrated(span) for span in result.spans)
+    spans = {span.request_id: span for span in result.spans}
+    for entry in result.decision_log:
+        dispatch = next(e for e in spans[entry["request_id"]].events
+                        if e["phase"] == "dispatch")
+        assert dispatch["level"] == entry["chosen_level"]
+        assert dispatch["ideal_level"] == entry["ideal_level"]
+        assert dispatch["fallback"] == entry["fell_back"]
 
 
 def test_sampling_is_deterministic_and_proportional():

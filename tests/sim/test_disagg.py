@@ -15,6 +15,8 @@ import pytest
 from repro.baselines.schemes import build_scheme
 from repro.core.runtime_scheduler import RuntimeSchedulerConfig
 from repro.errors import ConfigurationError
+from repro.obs.exporters import write_spans_jsonl
+from repro.obs.schema import load_schema, validate_jsonl
 from repro.obs.spans import ObservabilityConfig
 from repro.resilience.retry import RetryPolicy
 from repro.sim.disagg import DisaggConfig
@@ -23,6 +25,7 @@ from repro.sim.generative import GenerativeConfig
 from repro.sim.simulation import SimulationConfig, run_simulation
 from repro.units import seconds
 from repro.workload.generative import GenerativeTraceConfig, generate_generative_trace
+from tests.obs.helpers import assert_walk_narrated
 
 pytestmark = [pytest.mark.disagg, pytest.mark.generative]
 
@@ -127,6 +130,15 @@ def chaos_run(seed=11):
         observability=ObservabilityConfig(sample_rate=1.0, timeline=True),
     ))
     return trace, result
+
+
+def test_sampled_spans_narrate_the_prefill_walk(tmp_path):
+    trace, result = chaos_run()
+    assert len(result.spans) == len(trace)
+    assert all(assert_walk_narrated(span) for span in result.spans)
+    path = tmp_path / "spans.jsonl"
+    written = write_spans_jsonl(path, result.spans)
+    assert validate_jsonl(path, load_schema("trace_span")) == written
 
 
 def test_decode_crash_mid_handoff_conserves_requests():

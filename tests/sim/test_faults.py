@@ -149,3 +149,27 @@ def test_fleet_wide_blackout_across_a_period_end_holds_the_deployment():
     assert result.control_stats["blackouts"] == 2
     assert seconds(4) in [t for t, _, _ in scheme.runtime_scheduler.history]
     assert scheme.cluster.num_active_instances == 2
+
+
+def test_fleet_wide_crash_with_recovery_pending_at_a_period_end_holds():
+    # All eight instances crash at 4.5 s and recover at 5.5 s, so the
+    # 5 s reschedule finds no active instance but eight provisioned GPUs
+    # waiting for their recoveries. The deployment is held and every
+    # request completes on the recovered fleet.
+    trace = bursty_trace(rate=50, duration_s=10, seed=3)
+    scheme = build_scheme(
+        "arlo", "bert-large", 8,
+        trace_hint=trace.slice_time(0, seconds(2)),
+        runtime_scheduler_config=RuntimeSchedulerConfig(period_ms=seconds(5)),
+    )
+    plan = FailurePlan(events=[
+        FailureEvent(time_ms=4_500.0, victim_rank=0, recovery_ms=1_000.0)
+        for _ in range(8)
+    ])
+    result = run_simulation(scheme, trace, SimulationConfig(failures=plan))
+    assert result.stats.count == len(trace)
+    assert result.control_stats["failures"] == 8
+    held = [alloc for t, _, alloc in scheme.runtime_scheduler.history
+            if t == seconds(5)]
+    assert len(held) == 1 and held[0].sum() == 0
+    assert scheme.cluster.num_active_instances == 8

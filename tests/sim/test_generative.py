@@ -26,6 +26,7 @@ from repro.sim.simulation import SimulationConfig, run_simulation
 from repro.units import seconds
 from repro.workload.generative import GenerativeTraceConfig, generate_generative_trace
 from repro.workload.twitter import generate_twitter_trace
+from tests.obs.helpers import assert_walk_narrated
 
 pytestmark = pytest.mark.generative
 
@@ -193,6 +194,19 @@ def test_spans_carry_first_token_and_decode_steps(tmp_path):
     # And decode_steps round-trips through the JSONL export.
     line = json.loads(path.read_text().splitlines()[0])
     assert any("decode_steps" in event for event in line["events"])
+
+
+def test_sampled_spans_narrate_the_walk(tmp_path):
+    trace = make_trace(seed=81, rate=150, duration_s=4)
+    _, result = run(
+        trace, GenerativeConfig(),
+        observability=ObservabilityConfig(sample_rate=1.0),
+    )
+    assert len(result.spans) == len(trace)
+    assert all(assert_walk_narrated(span) for span in result.spans)
+    path = tmp_path / "spans.jsonl"
+    written = write_spans_jsonl(path, result.spans)
+    assert validate_jsonl(path, load_schema("trace_span")) == written
 
 
 def test_decode_task_pool_reuses_freed_tasks():
